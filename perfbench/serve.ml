@@ -382,8 +382,8 @@ let sub_window_s = 3.0
 let latencies samples = Array.of_list (List.map (fun s -> s.latency_s) samples)
 
 (* The window cut into sub-windows of about [sub_window_s] by request
-   completion; the medians over sub-windows of each one's p50 and p99
-   latency and of its correct rows per second. A stall that hits a few
+   completion; the medians over sub-windows of each one's p50, p90 and
+   p99 latency and of its correct rows per second. A stall that hits a few
    seconds of the run moves few sub-windows. *)
 let summarize results ~t0 ~seconds =
   let k = Stdlib.max 1 (int_of_float (seconds /. sub_window_s)) in
@@ -402,6 +402,7 @@ let summarize results ~t0 ~seconds =
   (* a sub-window that saw no completion has no latency to report *)
   let busy = Array.of_list (List.filter (( <> ) []) (Array.to_list bins)) in
   ( over (fun b -> median (latencies b)) busy,
+    over (fun b -> percentile 90.0 (latencies b)) busy,
     over (fun b -> percentile 99.0 (latencies b)) busy,
     over (fun b -> float_of_int (List.fold_left (fun a s -> a + s.rows_ok) 0 b) /. len) bins )
 
