@@ -11,13 +11,16 @@ module Metrics = Stc.Metrics
 
 open Catalog
 
-(* The layer self times of one traced op must add up to its wall time
-   within this share; the op-amp simulator breakdown must account for
-   the per-instance time within the same share. *)
+(* The self times of the named layers (the benchmark's own code left
+   out) must add up to the traced wall time within this share; the
+   op-amp simulator breakdown must account for the per-instance time
+   within the same share. *)
 let slack = 0.10
 
-(* Set-up repetitions; set-up time is their median. *)
+(* Set-up repetitions; set-up time is their median. A qualify set-up
+   holds a whole warm-up qualification, so it is repeated fewer times. *)
 let setup_reps = 7
+let qualify_setup_reps = 3
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)
@@ -59,8 +62,8 @@ let set_quality r ~kept (c : Metrics.counts) =
 (* Room for every span of one run; a full ring means spans were lost. *)
 let trace_capacity = 1 lsl 18
 
-(* Per-layer self times of the traced spans, per traced unit of work,
-   against that unit's wall time. *)
+(* Per-layer self times of the traced spans, per traced unit of work;
+   the named layers must cover the traced wall time [e2e_s]. *)
 let set_fold r ~dir ~workload ~seed ~units ~e2e_s =
   let text = Trace.to_text () in
   let path = Filename.concat dir (Printf.sprintf "trace-%s-%d.txt" workload seed) in
@@ -74,21 +77,16 @@ let set_fold r ~dir ~workload ~seed ~units ~e2e_s =
      | Error e -> error r ("trace not well formed: " ^ e));
     if List.length spans >= trace_capacity then
       error r "trace ring buffer overflowed";
-    let selfs, roots = fold_self_time spans in
+    let selfs = fold_self_time spans in
     let per = 1.0 /. float_of_int (Stdlib.max 1 units) in
     List.iter (fun (l, s) -> set r.layer ("self." ^ l ^ "_s") (s *. per)) selfs;
-    let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 selfs in
-    let layers = total -. List.assoc "bench" selfs in
+    let layers = named_layers_s selfs in
     set r.layer "trace.e2e_s" (e2e_s *. per);
     set r.layer "trace.layers_pct" (100.0 *. ratio layers e2e_s);
-    if Float.abs (total -. roots) > slack *. roots then
+    if Float.abs (layers -. e2e_s) > slack *. e2e_s then
       error r
-        (Printf.sprintf "layer self times sum to %.3fs, root spans to %.3fs"
-           total roots);
-    if Float.abs (total -. e2e_s) > slack *. e2e_s then
-      error r
-        (Printf.sprintf "layer self times sum to %.3fs, traced wall time %.3fs"
-           total e2e_s)
+        (Printf.sprintf "named layers' self times sum to %.3fs, traced wall time %.3fs"
+           layers e2e_s)
 
 (* SVM work from a registry delta [d], over [busy_s] of training. *)
 let set_svm r d ~busy_s =
@@ -103,17 +101,24 @@ let set_svm r d ~busy_s =
 (* Set-up probe                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The cold part of set-up, measured in a fresh process: process start
-   plus the device's lazy initialisation (the op-amp calibration fit
-   simulates the nominal device; MEMS calibrates likewise). *)
-let cold_start (q : Qualify.t) = exit (if Qualify.init_device q then 0 else 3)
+(* One qualify set-up, measured in a fresh process: process start, the
+   device's lazy initialisation (the op-amp calibration fit simulates the
+   nominal device; MEMS calibrates likewise), and the warm-up op, op 0,
+   in which the heap grows to the workload's size. *)
+let cold_start (q : Qualify.t) ~seed ~dir =
+  let ok =
+    Qualify.init_device q
+    && (Qualify.run q ~seed:(Qualify.sub_seed ~seed 0) ~dir).Qualify.errors = []
+  in
+  exit (if ok then 0 else 3)
 
-let probe workload =
+let probe workload ~seed =
   let exe = Sys.executable_name in
   let t0 = now () in
   let pid =
-    Unix.create_process exe [| exe; "--cold-start"; workload |] Unix.stdin
-      Unix.stdout Unix.stderr
+    Unix.create_process exe
+      [| exe; "--cold-start"; workload; "--seed"; string_of_int seed |]
+      Unix.stdin Unix.stdout Unix.stderr
   in
   match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> Some (now () -. t0)
@@ -131,9 +136,11 @@ let counter_names =
 
 let run_qualify r (q : Qualify.t) ~seed ~seconds ~traced ~dir =
   let setups =
-    List.filter_map (fun _ -> probe q.Qualify.name) (List.init setup_reps Fun.id)
+    List.filter_map
+      (fun _ -> probe q.Qualify.name ~seed)
+      (List.init qualify_setup_reps Fun.id)
   in
-  if List.length setups <> setup_reps then error r "set-up probe failed";
+  if List.length setups <> qualify_setup_reps then error r "set-up probe failed";
   (* in-process lazy init, outside the timed ops *)
   if not (Qualify.init_device q) then error r "nominal device does not simulate";
   (* op [j] qualifies the population of sub-seed [j]: a run measures
@@ -149,25 +156,37 @@ let run_qualify r (q : Qualify.t) ~seed ~seconds ~traced ~dir =
     end;
     (o, (before, after))
   in
-  (* op 0 is the set-up's warm-up: the heap grows to the workload's size
-     here, not in the timed ops. Its counts are the run's exact counts. *)
-  let (o, (before, after)), warm_s = time (fun () -> run_op 0) in
-  set r.e2e "setup_s" (median (Array.of_list setups) +. warm_s);
+  (* op 0 is this process's warm-up, as in each set-up: the heap grows to
+     the workload's size here, not in the timed ops. Its counts are the
+     run's exact counts. *)
+  let o, (before, after) = run_op 0 in
+  set r.e2e "setup_s" (median (Array.of_list setups));
   let untraced = ref [] and traced_ops = ref [] and all_ops = ref [] in
-  let t_end = now () +. seconds in
-  let j = ref 1 in
-  (* alternate untraced and traced ops in the traced run, and run at
-     least one of each *)
-  let need_more () =
-    now () < t_end || !untraced = [] || (traced && !traced_ops = [])
-  in
-  while need_more () do
-    let tracing = traced && !j mod 2 = 0 in
+  let overheads = ref [] in
+  let op ~tracing j =
     Trace.set_enabled tracing;
-    let o, d = run_op !j in
+    let o, d = run_op j in
     Trace.set_enabled false;
     all_ops := (o, d) :: !all_ops;
     if tracing then traced_ops := o :: !traced_ops else untraced := o :: !untraced;
+    o
+  in
+  let t_end = now () +. seconds in
+  let j = ref 1 in
+  while now () < t_end || !untraced = [] do
+    if traced then begin
+      (* the traced run qualifies each sub-seed twice, untraced and
+         traced, taking turns at going first, so the overhead compares
+         the same population with itself *)
+      let traced_first = !j mod 2 = 0 in
+      let a = op ~tracing:traced_first !j in
+      let b = op ~tracing:(not traced_first) !j in
+      let t, u = if traced_first then (a, b) else (b, a) in
+      if Qualify.signature t <> Qualify.signature u then
+        error r (Printf.sprintf "op %d did not repeat exactly when traced" !j);
+      overheads := ratio (t.Qualify.wall_s -. u.Qualify.wall_s) u.Qualify.wall_s :: !overheads
+    end
+    else ignore (op ~tracing:false !j : Qualify.outcome);
     incr j
   done;
   let op_deltas = List.map (fun (_, (before, after)) -> delta ~before ~after) !all_ops in
@@ -224,7 +243,7 @@ let run_qualify r (q : Qualify.t) ~seed ~seconds ~traced ~dir =
     set r.layer "floor.flow_read_ms" (1000.0 *. med (fun o -> o.Qualify.read_s));
     set r.layer "floor.flow_bytes" (float_of_int o.Qualify.flow_bytes);
     let tw = walls !traced_ops in
-    set r.layer "trace.overhead_pct" (100.0 *. ratio (median tw -. median w) (median w));
+    set r.layer "trace.overhead_pct" (100.0 *. median (Array.of_list !overheads));
     set_fold r ~dir ~workload:q.Qualify.name ~seed ~units:(Array.length tw)
       ~e2e_s:(Array.fold_left ( +. ) 0.0 tw);
     if inst = "circuit" then begin
@@ -260,7 +279,6 @@ let run_qualify r (q : Qualify.t) ~seed ~seconds ~traced ~dir =
 (* ------------------------------------------------------------------ *)
 
 let run_serve r ~stc_exe ~seed ~seconds ~traced ~dir =
-  let nproc = Stdlib.max 1 (nproc ()) in
   (* each set-up: population, both flows, their files, a fresh server to
      HEALTH OK and a warm-up; all but the last server are stopped *)
   let setups =
@@ -268,8 +286,7 @@ let run_serve r ~stc_exe ~seed ~seconds ~traced ~dir =
         let st, dt = time (fun () -> Serve.build ~stc_exe ~dir ~seed) in
         let (_ : Serve.conn_result list * float * float), warm_s =
           time (fun () ->
-              Serve.window st ~port:st.Serve.server.Serve.port ~nproc
-                ~seconds:0.0 ~warmup:true)
+              Serve.window st ~port:st.Serve.server.Serve.port ~seconds:0.0 ~warmup:true)
         in
         if k < setup_reps - 1 && not (Serve.stop st.Serve.server) then
           error r "a set-up server did not stop cleanly";
@@ -286,33 +303,31 @@ let run_serve r ~stc_exe ~seed ~seconds ~traced ~dir =
   List.iter (error r) st.Serve.errors;
   let port = st.Serve.server.Serve.port in
   let before = Serve.scrape ~port in
-  let untraced_s = if traced then seconds /. 2.0 else seconds in
-  let results, t0, _ = Serve.window st ~port ~nproc ~seconds:untraced_s ~warmup:false in
-  let traced_results =
-    if traced then begin
-      Trace.set_enabled true;
-      let res = Serve.window st ~port ~nproc ~seconds:(seconds /. 2.0) ~warmup:false in
-      Trace.set_enabled false;
-      Some res
-    end
-    else None
+  (* sub-windows; in the traced run every second one is traced *)
+  let windows =
+    List.init (Serve.sub_windows seconds) (fun k ->
+        let tracing = traced && k mod 2 = 1 in
+        Trace.set_enabled tracing;
+        let w = Serve.window st ~port ~seconds:Serve.sub_window_s ~warmup:false in
+        Trace.set_enabled false;
+        (tracing, w))
   in
   let after = Serve.scrape ~port in
   let server_rss = peak_rss_mb ~pid:(string_of_int st.Serve.server.Serve.pid) () in
-  let all = results @ (match traced_results with Some (rs, _, _) -> rs | None -> []) in
+  let untraced = List.filter_map (fun (t, w) -> if t then None else Some w) windows in
+  let traced_ws = List.filter_map (fun (t, w) -> if t then Some w else None) windows in
+  let all = List.concat_map (fun (_, (rs, _, _)) -> rs) windows in
   List.iter
     (fun (c : Serve.conn_result) ->
       r.attempted <- r.attempted + c.requests + c.reloads;
       r.failed <- r.failed + c.failed;
       Option.iter (error r) c.first_error)
     all;
-  let lat rs = Serve.latencies (List.concat_map (fun (c : Serve.conn_result) -> c.samples) rs) in
-  let w = lat results in
-  let p50, p90, p99, rows_per_s = Serve.summarize results ~t0 ~seconds:untraced_s in
-  set r.e2e "op_p50_ms" (1000.0 *. p50);
-  set r.e2e "op_p90_ms" (1000.0 *. p90);
-  set r.e2e "op_p99_ms" (1000.0 *. p99);
-  set r.e2e "rows_per_s" rows_per_s;
+  let e = Serve.summarize untraced in
+  set r.e2e "op_p50_ms" (1000.0 *. e.Serve.p50);
+  set r.e2e "op_p90_ms" (1000.0 *. e.Serve.p90);
+  set r.e2e "op_p99_ms" (1000.0 *. e.Serve.p99);
+  set r.e2e "rows_per_s" e.Serve.rows_per_s;
   set r.e2e "peak_rss_mb" server_rss;
   set_quality r ~kept:(Array.length st.Serve.flow_a.Stc.Compaction.kept) st.Serve.counts;
   info r "sizes"
@@ -320,12 +335,14 @@ let run_serve r ~stc_exe ~seed ~seconds ~traced ~dir =
        [ ("n_train", num (float_of_int Serve.n_train));
          ("n_pool", num (float_of_int Serve.n_pool));
          ("batch_rows", num (float_of_int Serve.batch_rows));
-         ("connections", num (float_of_int (List.length (Serve.roles nproc)))) ]);
+         ("reload_every", num (float_of_int Serve.reload_every));
+         ("connections", num (float_of_int (List.length Serve.roles))) ]);
   info r "train_hash" (str st.Serve.train_hash);
   info r "test_hash" (str st.Serve.pool_hash);
   info r "flow_fingerprint" (str st.Serve.fingerprint_a);
   info r "flow_fingerprint_b" (str st.Serve.fingerprint_b);
-  info r "requests" (num (float_of_int (Array.length w)));
+  info r "requests"
+    (num (float_of_int (List.fold_left (fun a (c : Serve.conn_result) -> a + c.requests) 0 all)));
   if traced then begin
     let d = delta ~before ~after in
     let bs name = buckets ~before ~after name in
@@ -354,15 +371,20 @@ let run_serve r ~stc_exe ~seed ~seconds ~traced ~dir =
     let reloads = Array.of_list (List.concat_map (fun (c : Serve.conn_result) -> c.reload_latencies) all) in
     set r.layer "net.reload_ms_p50" (1000.0 *. median reloads);
     set r.layer "error_ratio" (ratio (float_of_int r.failed) (float_of_int r.attempted));
-    match traced_results with
-    | None -> ()
-    | Some (rs, _, traced_s) ->
-      let tw = lat rs in
-      set r.layer "trace.overhead_pct"
-        (100.0 *. ratio (median tw -. median w) (median w));
-      (* one connection span per domain covers the traced window *)
-      set_fold r ~dir ~workload:"floor_serve" ~seed ~units:(List.length rs)
-        ~e2e_s:(traced_s *. float_of_int (List.length rs))
+    (* each traced sub-window against the untraced one before it *)
+    let overheads =
+      List.map2
+        (fun u t ->
+          let u = (Serve.summary u).Serve.p50 and t = (Serve.summary t).Serve.p50 in
+          ratio (t -. u) u)
+        (List.filteri (fun k _ -> k < List.length traced_ws) untraced)
+        traced_ws
+    in
+    set r.layer "trace.overhead_pct" (100.0 *. median (Array.of_list overheads));
+    (* one connection span per connection covers its traced sub-window *)
+    let conns = List.length Serve.roles in
+    set_fold r ~dir ~workload:"floor_serve" ~seed ~units:(conns * List.length traced_ws)
+      ~e2e_s:(float_of_int conns *. List.fold_left (fun a (_, _, w) -> a +. w) 0.0 traced_ws)
   end;
   if not (Serve.stop st.Serve.server) then error r "server did not stop cleanly"
 
@@ -378,7 +400,6 @@ let meta ~workload ~seed ~seconds ~traced =
       ("seconds", num seconds);
       ("trace", Json.Bool traced);
       ("git_rev", str (git_rev ()));
-      ("source_digest", str (source_digest ()));
       ("ocaml", str Sys.ocaml_version);
       ("recommended_domains", num (float_of_int (Domain.recommended_domain_count ())));
       ("nproc", num (float_of_int (nproc ())));
@@ -416,7 +437,7 @@ let () =
     | "opamp_qualify" -> Qualify.opamp_qualify
     | _ -> Qualify.mems_compact
   in
-  if !cold <> "" then cold_start (qualify_of !cold);
+  if !cold <> "" then cold_start (qualify_of !cold) ~seed:!seed ~dir:out_dir;
   if not (List.mem !workload workloads) then begin
     prerr_endline ("perfbench: unknown workload " ^ !workload);
     exit 2
@@ -449,16 +470,15 @@ let () =
   Printf.printf "# perfbench %s seed=%d seconds=%g trace=%d\n" !workload !seed !seconds !trace;
   Printf.printf "# meta %s\n" (Json.to_string ~indent:false meta);
   List.iter (fun (k, v) -> Printf.printf "# %s %s\n" k (Json.to_string ~indent:false v)) r.info;
-  let print ?(tag = "") names tbl =
+  let print names tbl =
     List.iter
       (fun (name, unit) ->
         let v = Option.value ~default:0.0 (Hashtbl.find_opt tbl name) in
-        Printf.printf "%-28s %14.6g %s%s%s\n" name v unit
-          (if List.mem name exact then "  (exact)" else "") tag)
+        Printf.printf "%-28s %14.6g %s%s\n" name v unit
+          (if List.mem name exact then "  (exact)" else ""))
       names
   in
   print end_to_end r.e2e;
-  print ~tag:"  (no bound)" reported r.e2e;
   (* test quality beside cost, in every run *)
   if traced then print per_layer r.layer
   else print (List.filter (fun (n, _) -> List.mem n quality) per_layer) r.layer;

@@ -6,16 +6,15 @@ let workloads = [ "opamp_qualify"; "mems_compact"; "floor_serve" ]
 let end_to_end =
   [
     ("setup_s", "s");
-    ("op_p90_ms", "ms");
+    ("op_p50_ms", "ms");
     ("rows_per_s", "1/s");
     ("peak_rss_mb", "MB");
   ]
 
-(* Printed and recorded beside the end-to-end metrics, without a bound:
-   on a shared machine the median of CPU-bound ops follows the host's
-   speed phases, and the p99 of requests follows its stalls, more than
-   a 25 % bound allows (see README). *)
-let reported = [ ("op_p50_ms", "ms"); ("op_p99_ms", "ms") ]
+(* Recorded in the result file beside the end-to-end metrics, without a
+   bound: a qualify run holds 8 to 20 ops, too few for a tail percentile
+   to have ten samples beyond it (see README). *)
+let reported = [ ("op_p90_ms", "ms"); ("op_p99_ms", "ms") ]
 
 let per_layer =
   [

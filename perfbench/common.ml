@@ -157,33 +157,6 @@ let nproc () =
   | Some s -> (match int_of_string_opt s with Some n -> n | None -> 0)
   | None -> 0
 
-(* Content digest of the program's sources, so runs of a checkout that
-   is not a git repository can still be matched to a tree. *)
-let source_digest () =
-  let rec walk dir =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> []
-    | entries ->
-      Array.sort compare entries;
-      Array.to_list entries
-      |> List.concat_map (fun e ->
-             let p = Filename.concat dir e in
-             if Sys.is_directory p then walk p
-             else if
-               Filename.check_suffix e ".ml" || Filename.check_suffix e ".mli"
-               || Filename.check_suffix e ".c" || e = "dune"
-             then [ p ]
-             else [])
-  in
-  let files = walk "lib" @ walk "bin" in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf p;
-      Buffer.add_string buf (Digest.to_hex (Digest.file p)))
-    files;
-  String.sub (Digest.to_hex (Digest.string (Buffer.contents buf))) 0 16
-
 (* The checkout's own git revision; "none" outside a git work tree
    (a parent directory's repository does not count). *)
 let git_rev () =
@@ -217,8 +190,7 @@ let layer_of_name name =
 
 (* Folds completed spans into per-layer self time: a span's duration
    minus the part its children cover. Returns (layer, seconds) for
-   every layer in [layers] order plus the summed duration of the root
-   spans. *)
+   every layer in [layers] order. *)
 let fold_self_time (spans : (Trace.span * string) list) =
   let by_id = Hashtbl.create (List.length spans) in
   List.iter (fun ((s : Trace.span), name) -> Hashtbl.replace by_id s.id (s, name)) spans;
@@ -238,17 +210,16 @@ let fold_self_time (spans : (Trace.span * string) list) =
       | None -> "bench")
   in
   let totals = Hashtbl.create 8 in
-  let roots = ref 0.0 in
   List.iter
     (fun ((s : Trace.span), name) ->
       let covered = Option.value ~default:0.0 (Hashtbl.find_opt child_time s.id) in
       let self = s.dur_s -. covered in
       let l = layer_of s name in
       let prev = Option.value ~default:0.0 (Hashtbl.find_opt totals l) in
-      Hashtbl.replace totals l (prev +. self);
-      if s.parent = 0 then roots := !roots +. s.dur_s)
+      Hashtbl.replace totals l (prev +. self))
     spans;
-  ( List.map
-      (fun l -> (l, Option.value ~default:0.0 (Hashtbl.find_opt totals l)))
-      layers,
-    !roots )
+  List.map (fun l -> (l, Option.value ~default:0.0 (Hashtbl.find_opt totals l))) layers
+
+(* Self time of the repo's layers, the benchmark's own code left out. *)
+let named_layers_s selfs =
+  List.fold_left (fun acc (l, s) -> if l = "bench" then acc else acc +. s) 0.0 selfs

@@ -12,10 +12,18 @@ module Floor = Stc_floor.Floor
 module Flow_io = Stc_floor.Flow_io
 module Client = Stc_net.Client
 
-let n_train = 600  (* rows the two production flows are trained on *)
-let n_pool = 2048  (* request rows: the held-out population *)
-let batch_rows = 64  (* rows per BATCH and per BIN+FLUSH stream *)
-let reload_every = 16  (* connection B: every 16th cycle is a RELOAD *)
+(* The flows are trained on `stc mems`'s default 800 instances. The
+   request rows and the request size are those of the repo's network
+   bench (bench/main.ml: 4000 rows in 512-row BATCH requests). *)
+let n_train = 800
+let n_pool = 4000
+let batch_rows = 512
+
+(* Connection B's station changes product once per lot: it bins a lot
+   of 15 requests (7680 devices) and then loads the other product's
+   flow, so every 16th cycle of B is a RELOAD. A 30 s window holds
+   dozens of reloads. *)
+let reload_every = 16
 let warmup_requests = 8
 let route = "mems"
 
@@ -72,9 +80,8 @@ let wait_exit ?(timeout_s = 10.0) pid =
   reap pid;
   ok
 
-(* Spawns `stc server` on an ephemeral port and waits until it answers
-   HEALTH. The flush deadline is long so that a pipelined request is
-   answered as one batch (the FLUSH verb, not the timer, ends it). *)
+(* Spawns `stc server` on an ephemeral port, with its default batching
+   settings, and waits until it answers HEALTH. *)
 let spawned = ref 0
 
 let spawn ~stc_exe ~dir ~path =
@@ -82,8 +89,7 @@ let spawn ~stc_exe ~dir ~path =
   let log = Filename.concat dir (Printf.sprintf "server-%d.log" !spawned) in
   let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let argv =
-    [| stc_exe; "server"; "--listen"; "0"; "--flow"; route ^ "=" ^ path;
-       "--flush-deadline"; "1" |]
+    [| stc_exe; "server"; "--listen"; "0"; "--flow"; route ^ "=" ^ path |]
   in
   let pid = Unix.create_process stc_exe argv Unix.stdin fd fd in
   Unix.close fd;
@@ -137,8 +143,9 @@ let stop server =
 type setup = {
   server : server;
   pool : float array array;
-  expect_a : Floor.outcome array;  (** offline verdicts, flow A *)
-  expect_b : Floor.outcome array;  (** offline verdicts, flow B *)
+  requests : float array array array;  (** request [i] is [requests.(i mod n)] *)
+  expect_a : Floor.outcome array array;  (** offline verdicts per request, flow A *)
+  expect_b : Floor.outcome array array;  (** offline verdicts per request, flow B *)
   path_a : string;
   path_b : string;
   flow_a : Compaction.flow;
@@ -167,6 +174,14 @@ let offline flow rows =
 
 let fingerprint flow =
   match Flow_io.fingerprint flow with Ok f -> f | Error e -> failwith e
+
+(* Request [i] is rows [i*batch_rows ..] of [arr], wrapping around; the
+   requests repeat after [n / gcd n batch_rows] of them. *)
+let requests arr =
+  let n = Array.length arr in
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  Array.init (n / gcd n batch_rows) (fun i ->
+      Array.init batch_rows (fun k -> arr.(((i * batch_rows) + k) mod n)))
 
 let build ~stc_exe ~dir ~seed =
   let errors = ref [] in
@@ -212,13 +227,15 @@ let build ~stc_exe ~dir ~seed =
     time (fun () -> span "core.evaluate" (fun () -> Compaction.evaluate_flow flow_a test))
   in
   let pool = Device_data.values test in
-  let expect_a = offline flow_a pool and expect_b = offline flow_b pool in
+  let expect_a = requests (offline flow_a pool) in
+  let expect_b = requests (offline flow_b pool) in
   let server =
     span "net.spawn" (fun () -> spawn ~stc_exe ~dir ~path:path_a)
   in
   {
     server;
     pool;
+    requests = requests pool;
     expect_a;
     expect_b;
     path_a;
@@ -245,11 +262,6 @@ let build ~stc_exe ~dir ~seed =
 (* The load                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Rows [i*batch_rows ..] of the pool, wrapping around. *)
-let slice arr i =
-  let n = Array.length arr in
-  Array.init batch_rows (fun k -> arr.(((i * batch_rows) + k) mod n))
-
 (* One BATCH or BIN+FLUSH request. *)
 type sample = {
   done_at : float;  (** completion, on the monotonic clock *)
@@ -268,6 +280,8 @@ type conn_result = {
   first_error : string option;
 }
 
+let at arr i = arr.(i mod Array.length arr)
+
 (* One connection's closed loop until [deadline]: each request waits for
    its reply. Role [`Batch] sends BATCH requests; role [`Stream] sends
    pipelined BIN rows and a FLUSH, with a RELOAD every [reload_every]th
@@ -275,7 +289,7 @@ type conn_result = {
    offsets the pool so the two connections send different rows. A
    request that fails its check is recorded as taking the whole window
    [window_s], so it misses any latency limit. *)
-let drive st ~port ~roles ~first ~deadline ~window_s ~warmup =
+let drive (st : setup) ~port ~role ~first ~deadline ~window_s ~warmup =
   let c = Client.connect ~port () in
   let samples = ref [] and rlat = ref [] in
   let requests = ref 0 and reloads = ref 0 and bin_rows = ref 0 in
@@ -288,7 +302,7 @@ let drive st ~port ~roles ~first ~deadline ~window_s ~warmup =
     let done_at = now () in
     let sample latency_s rows_ok = samples := { done_at; latency_s; rows_ok } :: !samples in
     match r with
-    | Ok outs when outs = slice st.expect_a i || outs = slice st.expect_b i ->
+    | Ok outs when outs = at st.expect_a i || outs = at st.expect_b i ->
       ok_rows := !ok_rows + Array.length outs;
       sample (done_at -. t0) (Array.length outs)
     | Ok _ ->
@@ -298,10 +312,10 @@ let drive st ~port ~roles ~first ~deadline ~window_s ~warmup =
       fail (name ^ ": " ^ e);
       sample window_s 0
   in
-  let cycle role i =
+  let cycle i =
     match role with
     | `Batch ->
-      let rows = slice st.pool i in
+      let rows = at st.requests i in
       let t0 = now () in
       let r = span "net.batch" (fun () -> Client.bin_batch c ~flow:route rows) in
       incr requests;
@@ -318,24 +332,23 @@ let drive st ~port ~roles ~first ~deadline ~window_s ~warmup =
        | Ok (`Unchanged, d) -> fail ("RELOAD did not swap: " ^ d)
        | Error e -> fail ("RELOAD: " ^ e))
     | `Stream ->
-      let rows = slice st.pool i in
+      let rows = at st.requests i in
       let t0 = now () in
       let r = span "net.stream" (fun () -> Client.stream c ~flow:route rows) in
       incr requests;
       bin_rows := !bin_rows + Array.length rows;
       record ~i ~t0 "BIN+FLUSH" r
   in
-  let nroles = Array.length roles in
   let i = ref first in
   if warmup then
     for _ = 1 to warmup_requests do
-      Array.iter (fun role -> cycle role !i) roles;
+      cycle !i;
       incr i
     done
   else
     span "bench.connection" (fun () ->
         while now () < deadline do
-          cycle roles.(!i mod nroles) !i;
+          cycle !i;
           incr i
         done);
   Client.quit c;
@@ -350,25 +363,23 @@ let drive st ~port ~roles ~first ~deadline ~window_s ~warmup =
     first_error = !first_error;
   }
 
-(* Connection roles by core count: one BATCH and one streaming
-   connection on two or more cores; one connection alternating both on
-   a single core. *)
-let roles nproc =
-  if nproc >= 2 then [ [| `Batch |]; [| `Stream |] ] else [ [| `Batch; `Stream |] ]
+(* One connection per core of the 2-vCPU machine the benchmark was
+   tuned on: connection A sends BATCH requests, B streams BIN rows and
+   reloads. *)
+let roles = [ `Batch; `Stream ]
 
-(* Runs every connection for [seconds], one domain each; the rows are
-   spread so connections send different slices. Returns the results, the
-   window's start and its wall time. *)
-let window st ~port ~nproc ~seconds ~warmup =
-  let rs = roles nproc in
+(* Runs both connections for [seconds], one domain each; they start at
+   different requests. Returns the results, the window's start and its
+   wall time. *)
+let window (st : setup) ~port ~seconds ~warmup =
   let t0 = now () in
   let deadline = t0 +. seconds in
-  let stride = Array.length st.pool / batch_rows / List.length rs in
-  let run k roles () =
-    drive st ~port ~roles ~first:(k * stride) ~deadline ~window_s:seconds ~warmup
+  let stride = Array.length st.requests / List.length roles in
+  let run k role () =
+    drive st ~port ~role ~first:(k * stride) ~deadline ~window_s:seconds ~warmup
   in
   let results =
-    match List.mapi run rs with
+    match List.mapi run roles with
     | [] -> []
     | main :: others ->
       let ds = List.map Domain.spawn others in
@@ -377,34 +388,39 @@ let window st ~port ~nproc ~seconds ~warmup =
   in
   (results, t0, now () -. t0)
 
+(* A run's window is a sequence of sub-windows of [sub_window_s], each
+   with fresh connections. The e2e figures are medians over
+   sub-windows, so a host stall that hits a few seconds of the run moves
+   few of them; a traced run alternates untraced and traced ones. *)
 let sub_window_s = 3.0
+
+let sub_windows seconds = Stdlib.max 1 (int_of_float (Float.round (seconds /. sub_window_s)))
 
 let latencies samples = Array.of_list (List.map (fun s -> s.latency_s) samples)
 
-(* The window cut into sub-windows of about [sub_window_s] by request
-   completion; the medians over sub-windows of each one's p50, p90 and
-   p99 latency and of its correct rows per second. A stall that hits a few
-   seconds of the run moves few sub-windows. *)
-let summarize results ~t0 ~seconds =
-  let k = Stdlib.max 1 (int_of_float (seconds /. sub_window_s)) in
-  let len = seconds /. float_of_int k in
-  let bins = Array.make k [] in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun s ->
-          let b = int_of_float ((s.done_at -. t0) /. len) in
-          let b = Stdlib.max 0 (Stdlib.min (k - 1) b) in
-          bins.(b) <- s :: bins.(b))
-        c.samples)
-    results;
-  let over f bins = median (Array.map f bins) in
-  (* a sub-window that saw no completion has no latency to report *)
-  let busy = Array.of_list (List.filter (( <> ) []) (Array.to_list bins)) in
-  ( over (fun b -> median (latencies b)) busy,
-    over (fun b -> percentile 90.0 (latencies b)) busy,
-    over (fun b -> percentile 99.0 (latencies b)) busy,
-    over (fun b -> float_of_int (List.fold_left (fun a s -> a + s.rows_ok) 0 b) /. len) bins )
+type summary = { p50 : float; p90 : float; p99 : float; rows_per_s : float }
+
+(* One sub-window's request latency percentiles and correct rows per
+   second of its wall time. *)
+let summary (results, _, wall_s) =
+  let w = latencies (List.concat_map (fun c -> c.samples) results) in
+  {
+    p50 = median w;
+    p90 = percentile 90.0 w;
+    p99 = percentile 99.0 w;
+    rows_per_s = float_of_int (List.fold_left (fun a c -> a + c.ok_rows) 0 results) /. wall_s;
+  }
+
+(* Medians over sub-windows. *)
+let summarize windows =
+  let ss = Array.of_list (List.map summary windows) in
+  let over f = median (Array.map f ss) in
+  {
+    p50 = over (fun s -> s.p50);
+    p90 = over (fun s -> s.p90);
+    p99 = over (fun s -> s.p99);
+    rows_per_s = over (fun s -> s.rows_per_s);
+  }
 
 (* Server-side counters (the METRICS scrape, stc-metrics-1 text). *)
 let scrape ~port =
@@ -424,10 +440,11 @@ let direct_rows_per_s st ~min_s =
   Floor.with_engine st.flow_a (fun engine ->
       let retest = Floor.full_test st.flow_a in
       let t0 = now () in
-      let rows = ref 0 in
+      let rows = ref 0 and last = ref [||] in
       while now () -. t0 < min_s do
-        let outs = span "floor.process" (fun () -> Floor.process ~retest engine st.pool) in
-        if outs <> st.expect_a then failwith "direct Floor.process verdicts moved";
-        rows := !rows + Array.length outs
+        last := span "floor.process" (fun () -> Floor.process ~retest engine st.pool);
+        rows := !rows + Array.length !last
       done;
-      float_of_int !rows /. (now () -. t0))
+      let rate = float_of_int !rows /. (now () -. t0) in
+      if requests !last <> st.expect_a then failwith "direct Floor.process verdicts moved";
+      rate)

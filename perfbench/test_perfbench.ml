@@ -101,11 +101,10 @@ let () =
         match Trace.parse (Trace.to_text ()) with Ok s -> s | Error e -> failwith e
       in
       expect (Trace.check_well_formed spans = Ok ()) "trace not well formed";
-      let selfs, roots = fold_self_time spans in
-      let total = List.fold_left (fun a (_, s) -> a +. s) 0.0 selfs in
-      expect (Float.abs (total -. roots) < 1e-6 *. roots +. 1e-9) "self times do not sum to roots";
-      expect (Float.abs (total -. o.Qualify.wall_s) < 0.1 *. o.Qualify.wall_s)
-        "self times do not sum to the op's wall time";
+      let selfs = fold_self_time spans in
+      let layers = named_layers_s selfs in
+      expect (Float.abs (layers -. o.Qualify.wall_s) < 0.1 *. o.Qualify.wall_s)
+        "named layers do not cover the op's wall time";
       expect (List.assoc "mems" selfs > 0.0 && List.assoc "core" selfs > 0.0)
         "layers missing from the fold");
   test "self time fold" (fun () ->
@@ -114,10 +113,10 @@ let () =
         [ (sp 2 1 0.1 0.3, "circuit.instance"); (sp 3 1 0.5 0.2, "compaction.train");
           (sp 4 3 0.55 0.05, "other"); (sp 1 0 0.0 1.0, "bench.qualify") ]
       in
-      let selfs, roots = fold_self_time spans in
+      let selfs = fold_self_time spans in
       let near a b = Float.abs (a -. b) < 1e-12 in
-      expect (near roots 1.0) "root total";
       expect (near (List.assoc "bench" selfs) 0.5) "bench self";
+      expect (near (named_layers_s selfs) 0.5) "named layers leave bench out";
       expect (near (List.assoc "circuit" selfs) 0.3) "circuit self";
       expect (near (List.assoc "core" selfs) 0.2) "unknown span joins its parent's layer");
   test "percentiles" (fun () ->
@@ -148,12 +147,18 @@ let () =
       (* two windows, as in the traced run: the reload toggle carries over *)
       let window () =
         let results, _, _ =
-          Serve.window st ~port:st.Serve.server.Serve.port ~nproc:2 ~seconds:0.75
+          Serve.window st ~port:st.Serve.server.Serve.port ~seconds:0.75
             ~warmup:false
         in
         results
       in
       let results = window () @ window () in
+      expect
+        (List.for_all
+           (fun (c : Serve.conn_result) ->
+             List.for_all (fun (s : Serve.sample) -> s.rows_ok = Serve.batch_rows) c.samples)
+           results)
+        "a request was not answered in full";
       let stopped = Serve.stop st.Serve.server in
       List.iter
         (fun (c : Serve.conn_result) ->
