@@ -1,20 +1,26 @@
 (* The metrics the benchmark reports, as BENCHMARK.json lists them. *)
 
-let workloads = [ "opamp_qualify"; "mems_compact"; "floor_serve" ]
+(* The workloads BENCHMARK.json lists. *)
+let workloads = [ "opamp_qualify"; "floor_serve" ]
+
+(* Runnable, but not in BENCHMARK.json: a run's time follows the few
+   populations it can qualify, whose SMO work differs by up to 2x, so
+   two sets of runs of one code do not agree within a bound (README). *)
+let unlisted_workloads = [ "mems_compact" ]
 
 (* Metric (name, unit), in the order BENCHMARK.json lists them. *)
 let end_to_end =
   [
     ("setup_s", "s");
-    ("op_p50_ms", "ms");
+    ("op_ms", "ms");
     ("rows_per_s", "1/s");
     ("peak_rss_mb", "MB");
   ]
 
 (* Recorded in the result file beside the end-to-end metrics, without a
-   bound: a qualify run holds 8 to 20 ops, too few for a tail percentile
-   to have ten samples beyond it (see README). *)
-let reported = [ ("op_p90_ms", "ms"); ("op_p99_ms", "ms") ]
+   bound: percentiles over every timed op or request, slow host phases
+   included (see README). *)
+let reported = [ ("op_p50_ms", "ms"); ("op_p90_ms", "ms"); ("op_p99_ms", "ms") ]
 
 let per_layer =
   [

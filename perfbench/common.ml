@@ -36,6 +36,24 @@ let median xs = percentile 50.0 xs
 
 let ratio a b = if b = 0.0 then 0.0 else a /. b
 
+(* The cost of an op a run repeats, at the host's fast moments. A host
+   that shares its cores only ever slows work down, for seconds to
+   minutes at a time, so each part of the op costs its fastest repeat.
+   [rounds] are the repeats, each the times of the op's parts in order;
+   the result is the sum over parts of each part's fastest time. *)
+let fastest_sum (rounds : float array list) =
+  match rounds with
+  | [] -> 0.0
+  | first :: _ ->
+    let n = Array.length first in
+    if List.exists (fun r -> Array.length r <> n) rounds then
+      invalid_arg "fastest_sum: repeats with different parts";
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      total := !total +. List.fold_left (fun m r -> Float.min m r.(i)) Float.infinity rounds
+    done;
+    !total
+
 (* ------------------------------------------------------------------ *)
 (* Metric registry views                                               *)
 (* ------------------------------------------------------------------ *)

@@ -24,10 +24,13 @@ type t = {
   instance_span : string;  (** span around one simulated instance *)
 }
 
+(* Populations a run cycles through, each qualified once per round. *)
+let populations = 3
+
 (* The op-amp as `stc train` qualifies it: the library device (calibrated),
    the paper's op-amp config, the functional examination order. The
-   population is far below `stc train`'s 800/400 so that several
-   qualifications fit in one run. *)
+   population is far below `stc train`'s 800/400, so that a run
+   qualifies each of its populations several times. *)
 let opamp_qualify =
   {
     name = "opamp_qualify";
@@ -35,8 +38,8 @@ let opamp_qualify =
     specs = Experiment.opamp_specs;
     config = Experiment.opamp_config;
     order = Order.Given Experiment.opamp_examination_order;
-    n_train = 30;
-    n_test = 20;
+    n_train = 10;
+    n_test = 5;
     instance_span = "circuit.instance";
   }
 

@@ -4,7 +4,7 @@ and the quartile spread (Q3 - Q1 as a share of the median), as
 statistics.quantiles(values, n=4) gives them.
 
     python3 perfbench/spread.py --workload floor_serve --seeds 1-10 \
-        [--seconds 15] [--trace 0]
+        [--seconds 45] [--trace 0]
 
 Run from the root of a checkout. Exits 1 if any run fails or reports
 correct=false.
@@ -26,7 +26,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1-5")
-    ap.add_argument("--seconds", default="15")
+    ap.add_argument("--seconds", default="45")
     ap.add_argument("--trace", default="0")
     args = ap.parse_args()
     values = {}

@@ -126,6 +126,14 @@ let () =
       expect (percentile 99.0 [| 3.0; 1.0 |] = 3.0) "p99 of two";
       let bs = [ (1.0, 0.0); (2.0, 10.0); (Float.infinity, 0.0) ] in
       expect (Float.abs (hist_percentile 50.0 bs -. 1.5) < 1e-12) "bucket interpolation");
+  test "fastest repeat of each part" (fun () ->
+      expect (fastest_sum [ [| 3.0; 1.0; 5.0 |]; [| 2.0; 4.0; 6.0 |] ] = 8.0)
+        "not the sum of each part's fastest repeat";
+      expect
+        (match fastest_sum [ [| 1.0 |]; [| 1.0; 2.0 |] ] with
+         | _ -> false
+         | exception Invalid_argument _ -> true)
+        "repeats with different parts accepted");
   test "BENCHMARK.json lists the metrics and workloads the benchmark prints" (fun () ->
       let json =
         match Json.of_string (read_file benchmark_json) with
