@@ -143,8 +143,7 @@ let run_qualify r (q : Qualify.t) ~seed ~seconds ~traced ~dir =
   if List.length setups <> qualify_setup_reps then error r "set-up probe failed";
   (* in-process lazy init, outside the timed ops *)
   if not (Qualify.init_device q) then error r "nominal device does not simulate";
-  (* op [j] qualifies the population of sub-seed [j]: a run measures
-     several populations, so one seed's SMO work does not set the run *)
+  (* op [j] qualifies the population of sub-seed [j] *)
   let run_op j =
     let before = snapshot () in
     let o = Qualify.run q ~seed:(Qualify.sub_seed ~seed j) ~dir in
@@ -162,7 +161,7 @@ let run_qualify r (q : Qualify.t) ~seed ~seconds ~traced ~dir =
   let o, (before, after) = run_op 0 in
   set r.e2e "setup_s" (median (Array.of_list setups));
   let untraced = ref [] and traced_ops = ref [] and all_ops = ref [] in
-  let overheads = ref [] and timed = ref [] in
+  let overheads = ref [] in
   let op ~tracing j =
     Trace.set_enabled tracing;
     let o, d = run_op j in
@@ -187,15 +186,10 @@ let run_qualify r (q : Qualify.t) ~seed ~seconds ~traced ~dir =
       overheads := ratio (t.Qualify.wall_s -. u.Qualify.wall_s) u.Qualify.wall_s :: !overheads
     end
     else begin
-      (* untraced ops cycle through the run's populations; each is
-         qualified again in every round *)
-      let p = 1 + ((!j - 1) mod Qualify.populations) in
-      let o = op ~tracing:false p in
-      (match List.assoc_opt p !timed with
-       | Some first when Qualify.signature first <> Qualify.signature o ->
-         error r (Printf.sprintf "population %d did not repeat exactly" p)
-       | _ -> ());
-      timed := (p, o) :: !timed
+      (* the untraced run qualifies op 0's population again and again *)
+      let again = op ~tracing:false 0 in
+      if Qualify.signature again <> Qualify.signature o then
+        error r "op 0's population did not repeat exactly"
     end;
     incr j
   done;
@@ -203,26 +197,14 @@ let run_qualify r (q : Qualify.t) ~seed ~seconds ~traced ~dir =
   let all_ops = List.map fst !all_ops in
   let walls ops = Array.of_list (List.map (fun o -> o.Qualify.wall_s) ops) in
   let w = walls !untraced in
-  (* each population's op at the host's fast moments: its parts are the
-     simulate calls, in draw order, and the rest of the op; the run's op
-     time is their mean over populations *)
+  (* the op at the host's fast moments: its parts are the simulate
+     calls, in draw order, and the rest of the op, each at its fastest
+     repeat *)
   let parts o =
     let sims = Array.of_list (List.rev o.Qualify.sims.Qualify.times) in
     Array.append sims [| o.Qualify.wall_s -. Array.fold_left ( +. ) 0.0 sims |]
   in
-  let best =
-    List.filter_map
-      (fun p ->
-        match List.filter_map (fun (p', o) -> if p' = p then Some (parts o) else None) !timed with
-        | [] -> None
-        | rounds -> Some (fastest_sum rounds))
-      (List.init Qualify.populations (fun k -> k + 1))
-  in
-  let op_s =
-    if best = [] then median w
-    else List.fold_left ( +. ) 0.0 best /. float_of_int (List.length best)
-  in
-  info r "population_ms" (Json.List (List.map (fun s -> num (1000.0 *. s)) best));
+  let op_s = if traced then median w else fastest_sum (List.map parts !untraced) in
   set r.e2e "op_ms" (1000.0 *. op_s);
   set r.e2e "op_p50_ms" (1000.0 *. median w);
   set r.e2e "op_p90_ms" (1000.0 *. percentile 90.0 w);
@@ -237,11 +219,7 @@ let run_qualify r (q : Qualify.t) ~seed ~seconds ~traced ~dir =
   info r "train_hash" (str o.Qualify.train_hash);
   info r "test_hash" (str o.Qualify.test_hash);
   info r "flow_fingerprint" (str o.Qualify.fingerprint);
-  info r "ops"
-    (Json.List
-       (List.rev_map
-          (fun (p, o) -> Json.List [ num (float_of_int p); num (1000.0 *. o.Qualify.wall_s) ])
-          !timed));
+  info r "op_ms" (Json.List (List.rev_map (fun o -> num (1000.0 *. o.Qualify.wall_s)) !untraced));
   if traced then begin
     (* counts and quality are op 0's, exact for the seed; times are
        medians over ops *)

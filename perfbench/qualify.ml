@@ -24,13 +24,10 @@ type t = {
   instance_span : string;  (** span around one simulated instance *)
 }
 
-(* Populations a run cycles through, each qualified once per round. *)
-let populations = 3
-
 (* The op-amp as `stc train` qualifies it: the library device (calibrated),
    the paper's op-amp config, the functional examination order. The
    population is far below `stc train`'s 800/400, so that a run
-   qualifies each of its populations several times. *)
+   simulates each of its instances many times. *)
 let opamp_qualify =
   {
     name = "opamp_qualify";
