@@ -254,7 +254,9 @@ let flow_string flow =
   | Ok s -> s
   | Error e -> Alcotest.failf "Flow_io.to_string: %s" e
 
-let check_warm_cold_flows name ?order config ~train ~test =
+(* [fingerprint] is the expected [Flow_io.fingerprint] of both flows:
+   warm == cold alone would miss a change that moves both sides alike *)
+let check_warm_cold_flows name ?order ~fingerprint config ~train ~test =
   let before = Obs.Counter.get c_warm_starts in
   let cold =
     Compaction.greedy ?order { config with Compaction.warm_start = false }
@@ -283,7 +285,11 @@ let check_warm_cold_flows name ?order config ~train ~test =
   Alcotest.(check string)
     (name ^ ": stc-flow-1 bytes")
     (flow_string cold.Compaction.flow)
-    (flow_string warm.Compaction.flow)
+    (flow_string warm.Compaction.flow);
+  Alcotest.(check (result string string))
+    (name ^ ": flow fingerprint")
+    (Ok fingerprint)
+    (Flow_io.fingerprint cold.Compaction.flow)
 
 let flow_equiv_tests =
   [
@@ -292,7 +298,7 @@ let flow_equiv_tests =
         let train, test =
           Experiment.generate_opamp ~seed:701 ~n_train:80 ~n_test:40 ()
         in
-        check_warm_cold_flows "opamp"
+        check_warm_cold_flows "opamp" ~fingerprint:"ce7f2b9822c96a98"
           ~order:(Order.Given Experiment.opamp_examination_order)
           Experiment.opamp_config ~train ~test);
     Alcotest.test_case "MEMS: warm and cold flows bit-identical" `Quick
@@ -303,7 +309,8 @@ let flow_equiv_tests =
         let train, test =
           Experiment.generate_mems ~seed:702 ~n_train:400 ~n_test:200 ()
         in
-        check_warm_cold_flows "mems" Experiment.mems_config ~train ~test);
+        check_warm_cold_flows "mems" ~fingerprint:"88a08be5c1bd5e3a"
+          Experiment.mems_config ~train ~test);
   ]
 
 let suites =

@@ -204,16 +204,27 @@ let adaptive_guard_tests =
   [
     Alcotest.test_case "margin grows with the guard target" `Quick (fun () ->
         let train = ag_population 21 600 in
-        let margin target =
+        let margin ?(learner = Adaptive_guard.default_config.learner) target =
           Adaptive_guard.margin
             (Adaptive_guard.train
-               ~config:
-                 { Adaptive_guard.default_config with
-                   Adaptive_guard.target_guard = target }
+               ~config:{ Adaptive_guard.learner; target_guard = target }
                train ~dropped:[| 2 |])
         in
         let m2 = margin 0.02 and m10 = margin 0.10 and m25 = margin 0.25 in
-        Alcotest.(check bool) "monotone" true (m2 <= m10 && m10 <= m25));
+        Alcotest.(check bool) "monotone" true (m2 <= m10 && m10 <= m25);
+        (* bit-for-bit pins, one per learner family: a change to how the
+           decision function is trained must not move the margin *)
+        let pin what expected got =
+          Alcotest.(check string) what (Printf.sprintf "%h" expected)
+            (Printf.sprintf "%h" got)
+        in
+        pin "svr 0.02" 0x1.7829216703c65p-1 m2;
+        pin "svr 0.10" 0x1.ce02e98ac9793p-1 m10;
+        pin "svr 0.25" 0x1.d0c89cc649528p-1 m25;
+        pin "svc 0.10" 0x1.f65a6a760dad2p+0
+          (margin ~learner:(Compaction.C_svc { c = 10.0; gamma = None }) 0.10);
+        pin "mlp 0.10" 0x1.01dbbc3eb6bb4p+0
+          (margin ~learner:Stc.Learner.default_mlp 0.10));
     Alcotest.test_case "band verdicts partition by decision value" `Quick
       (fun () ->
         let train = ag_population 22 600 in
