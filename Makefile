@@ -5,7 +5,7 @@
 # replay the same stream.
 QA_SEED ?= 2005
 
-.PHONY: all build check test bench bench-json golden examples qa equiv enrich learners serve-smoke chaos ci clean
+.PHONY: all build check test bench bench-json golden examples qa equiv enrich learners serve-smoke chaos perfcheck ci clean
 
 all: build
 
@@ -39,10 +39,12 @@ qa:
 	dune exec bin/stc_cli.exe -- selftest --seed $(QA_SEED) --quiet
 
 # The SMO warm-start / flat-storage equivalence gate (test_svm_equiv.ml):
-# warm-started solves reach the cold optimum and warm-started compaction
-# emits bit-identical stc-flow-1 bytes. Run by name so that if the suite
-# is ever deregistered, the empty filter makes alcotest exit nonzero —
-# CI cannot silently skip it.
+# warm-started solves reach the cold optimum, and a greedy compaction
+# whose candidates each seed from the previous candidate's solve emits
+# the same stc-flow-1 bytes as a cold one, pinned to an absolute flow
+# fingerprint on each bench. Run by name so that if the suite is ever
+# deregistered, the empty filter makes alcotest exit nonzero — CI
+# cannot silently skip it.
 equiv:
 	dune exec test/test_main.exe -- test svm_equiv
 
@@ -81,11 +83,18 @@ serve-smoke:
 chaos:
 	dune exec test/chaos.exe
 
+# The repository benchmark's own checks (perfbench/test_perfbench.ml):
+# among them, that the benchmark's workloads draw the same populations
+# as the library's wrapped path, so a lib/ change that breaks them
+# fails here rather than in a benchmark run.
+perfcheck:
+	dune build @perfbench/perfcheck
+
 # Everything the CI workflow runs: build, tier-1 tests, the QA sweep
 # (qcheck properties + `stc selftest`) under the pinned seed, the SMO
 # equivalence gate, the enrichment determinism gate and the learner-zoo
 # differential gate (each fails if its suite is skipped), then the
-# network serving smoke and the chaos gate.
+# network serving smoke, the chaos gate and the benchmark's own checks.
 ci:
 	dune build @all
 	dune runtest
@@ -95,6 +104,7 @@ ci:
 	$(MAKE) learners
 	$(MAKE) serve-smoke
 	$(MAKE) chaos
+	$(MAKE) perfcheck
 
 examples:
 	dune exec examples/quickstart.exe

@@ -1,6 +1,3 @@
-module Svr = Stc_svm.Svr
-module Svc = Stc_svm.Svc
-module Kernel = Stc_svm.Kernel
 module Stats = Stc_numerics.Stats
 
 type config = {
@@ -10,7 +7,7 @@ type config = {
 
 let default_config =
   {
-    learner = Compaction.Epsilon_svr { c = 10.0; epsilon = 0.1; gamma = None };
+    learner = Learner.default_svr;
     target_guard = 0.05;
   }
 
@@ -22,57 +19,18 @@ type t = {
   margin : float;
 }
 
-let complement ~k dropped =
-  let is_dropped = Array.make k false in
-  Array.iter
-    (fun j ->
-      if j < 0 || j >= k then invalid_arg "Adaptive_guard: bad spec index";
-      if is_dropped.(j) then invalid_arg "Adaptive_guard: duplicate index";
-      is_dropped.(j) <- true)
-    dropped;
-  let kept = ref [] in
-  for j = k - 1 downto 0 do
-    if not is_dropped.(j) then kept := j :: !kept
-  done;
-  Array.of_list !kept
-
-let resolve_gamma gamma features =
-  match gamma with Some g -> g | None -> Kernel.median_gamma features
-
-(* a real-valued decision function for either learner *)
-let train_decision learner features labels =
-  let all_same = Array.for_all (fun l -> l = labels.(0)) labels in
-  if all_same then begin
-    let constant = float_of_int labels.(0) in
-    fun _ -> constant
-  end
-  else begin
-    match learner with
-    | Compaction.Epsilon_svr { c; epsilon; gamma } ->
-      let kernel = Kernel.rbf (resolve_gamma gamma features) in
-      let y = Array.map float_of_int labels in
-      let model = Svr.train ~c ~epsilon ~kernel ~x:features ~y () in
-      fun v -> Svr.predict model v
-    | Compaction.C_svc { c; gamma } ->
-      let kernel = Kernel.rbf (resolve_gamma gamma features) in
-      let model = Svc.train ~c ~kernel ~x:features ~y:labels () in
-      fun v -> Svc.decision model v
-    | Compaction.Mlp mlp_config ->
-      let y = Array.map float_of_int labels in
-      let model = Stc_learn.Mlp.train ~config:mlp_config ~x:features ~y () in
-      fun v -> Stc_learn.Mlp.predict model v
-  end
-
 let train ?(config = default_config) data ~dropped =
   if Array.length dropped = 0 then
     invalid_arg "Adaptive_guard.train: empty dropped set";
   if config.target_guard < 0.0 || config.target_guard >= 1.0 then
     invalid_arg "Adaptive_guard.train: target_guard outside [0,1)";
   let specs = Device_data.specs data in
-  let kept = complement ~k:(Array.length specs) dropped in
+  let kept = Compaction.complement ~k:(Array.length specs) dropped in
   let features = Device_data.features data ~keep:kept in
   let labels = Device_data.pass_labels data ~subset:dropped in
-  let decision = train_decision config.learner features labels in
+  let decision =
+    Guard_band.decision (Learner.train config.learner ~features ~labels)
+  in
   let magnitudes = Array.map (fun v -> Float.abs (decision v)) features in
   let margin =
     if config.target_guard = 0.0 then 0.0

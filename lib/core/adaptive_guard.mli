@@ -15,13 +15,16 @@ type config = {
 }
 
 val default_config : config
-(** ε-SVR (C = 10, ε = 0.1, γ = 1/dim) targeting 5 % guard volume. *)
+(** {!Learner.default_svr} (C = 10, ε = 0.1, γ from the median
+    heuristic) targeting 5 % guard volume. *)
 
 type t
 
 val train : ?config:config -> Device_data.t -> dropped:int array -> t
-(** Trains the decision function on pass/fail of [dropped] and fits the
-    margin on the same training data. *)
+(** Trains the decision function on pass/fail of [dropped] through
+    {!Learner.train} and fits the margin on the same training data.
+    Raises [Invalid_argument] for an empty, out-of-range or duplicate
+    [dropped] set. *)
 
 val margin : t -> float
 (** The fitted decision-value margin. *)

@@ -34,7 +34,7 @@ type config = {
 
 let default_config =
   {
-    learner = Epsilon_svr { c = 10.0; epsilon = 0.1; gamma = None };
+    learner = Learner.default_svr;
     tolerance = 0.01;
     guard_fraction = 0.01;
     grid = None;
@@ -76,12 +76,6 @@ let complement ~k dropped =
   done;
   Array.of_list !kept
 
-(* Train one ±1 classifier on (features, labels), returned with its
-   model data so flows can be serialised. Degenerate one-class inputs
-   yield a constant predictor. Delegates to the LEARNER contract. *)
-let train_classifier ?warm learner features labels =
-  Learner.train ?warm learner ~features ~labels
-
 let maybe_grid config features labels =
   match config.grid with
   | None -> (features, labels)
@@ -107,8 +101,8 @@ let train_predictor config data ~dropped =
   let features = Device_data.features data ~keep:kept in
   let train fraction =
     let labels = dropped_labels data ~dropped ~fraction in
-    let features', labels' = maybe_grid config features labels in
-    train_classifier config.learner features' labels'
+    let features, labels = maybe_grid config features labels in
+    Learner.train config.learner ~features ~labels
   in
   let nominal = train 0.0 in
   let band =
@@ -320,10 +314,8 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
   in
   (* Warm-start state for the per-candidate nominal solves only:
      successive candidates share most of their feature set, so SMO is
-     seeded from the last *accepted* model's alphas (a rejected
-     candidate's state is rolled back below — its problem differs from
-     every later candidate's by two label flips instead of one). The
-     final flow's models ([make_flow] below, and every guard-band
+     seeded from the previous candidate's solve, accepted or rejected.
+     The final flow's models ([make_flow] below, and every guard-band
      pair) always train cold, so the persisted flow bytes depend only
      on the accept/reject decisions — which the equivalence suite pins
      to be warm/cold-identical. *)
@@ -353,7 +345,6 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
             (fun () ->
               let trial = Array.of_list (List.rev (candidate :: !dropped)) in
               let kept = complement ~k trial in
-              let warm_before = Option.map Learner.checkpoint warm in
               let nominal =
                 Trace.with_span "compaction.train" (fun () ->
                     Obs.Histogram.time h_train (fun () ->
@@ -361,14 +352,12 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
                         let labels =
                           dropped_labels train ~dropped:trial ~fraction:0.0
                         in
-                        let features', labels' =
+                        let features, labels =
                           maybe_grid config features labels
                         in
-                        let model =
-                          train_classifier ?warm config.learner features'
-                            labels'
-                        in
-                        Guard_band.predict model))
+                        Guard_band.predict
+                          (Learner.train ?warm config.learner ~features
+                             ~labels)))
               in
               let validation_data =
                 match config.validation with
@@ -382,11 +371,6 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
                           ~dropped:trial))
               in
               let accepted = error <= config.tolerance in
-              (* rejected candidates don't advance the warm state *)
-              if not accepted then
-                (match (warm, warm_before) with
-                | Some w, Some s -> Learner.rollback w s
-                | _ -> ());
               Obs.Counter.incr m_candidates;
               Obs.Counter.incr (if accepted then m_accepted else m_rejected);
               Obs.Gauge.set g_last_error error;

@@ -12,7 +12,7 @@
 type learner = Learner.spec =
   | Epsilon_svr of { c : float; epsilon : float; gamma : float option }
       (** the paper's ε-SVM: regression on ±1 targets, classify by
-          sign; [gamma = None] uses 1/dim *)
+          sign; [gamma = None] uses the median-distance heuristic *)
   | C_svc of { c : float; gamma : float option }
       (** standard soft-margin classification, for ablation *)
   | Mlp of Stc_learn.Mlp.config
@@ -36,8 +36,9 @@ type config = {
   validation : validation;
   warm_start : bool;
       (** seed each candidate's SMO solve from the previous
-          candidate's alphas (ε-SVR only; C-SVC always starts cold
-          because labels enter the dual's equality constraint). An
+          candidate's alphas, whether that candidate was accepted or
+          rejected (ε-SVR only; C-SVC always starts cold because
+          labels enter the dual's equality constraint). An
           execution strategy, not a semantic knob: the final flow and
           all guard-band models always train cold, decisions are
           pinned warm/cold-identical by the equivalence suite, and the
@@ -46,9 +47,9 @@ type config = {
 }
 
 val default_config : config
-(** ε-SVR (C=10, ε=0.1, γ=1/dim), e_T = 1 %, δ = 1 %, no grid
-    compaction, measured guard on, paper validation protocol, warm
-    starts enabled. *)
+(** ε-SVR (C=10, ε=0.1, γ from the median heuristic), e_T = 1 %,
+    δ = 1 %, no grid compaction, measured guard on, paper validation
+    protocol, warm starts enabled. *)
 
 type flow = {
   specs : Spec.t array;
@@ -61,6 +62,11 @@ type flow = {
 
 val identity_flow : Spec.t array -> flow
 (** The uncompacted flow: every spec measured, no model. *)
+
+val complement : k:int -> int array -> int array
+(** [complement ~k dropped] is the ascending array of spec indices in
+    [0, k) not in [dropped] — the kept set. Raises [Invalid_argument]
+    ("Compaction: …") on an out-of-range or duplicate index. *)
 
 val train_predictor : config -> Device_data.t -> dropped:int array ->
   Guard_band.t * (float array -> int)

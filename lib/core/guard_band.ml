@@ -28,6 +28,14 @@ let predict m =
   | Mlp mlp -> Stc_learn.Mlp.classify mlp
   | Opaque f -> f
 
+let decision m =
+  match m with
+  | Constant c -> fun _ -> float_of_int c
+  | Svr svr -> Stc_svm.Svr.predict svr
+  | Svc svc -> Stc_svm.Svc.decision svc
+  | Mlp mlp -> Stc_learn.Mlp.predict mlp
+  | Opaque _ -> invalid_arg "Guard_band.decision: opaque model"
+
 let of_models ~tight ~loose = { tight; loose }
 
 let make ~tight ~loose = { tight = Opaque tight; loose = Opaque loose }

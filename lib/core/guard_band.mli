@@ -31,6 +31,11 @@ val constant : int -> model
 
 val predict : model -> classifier
 
+val decision : model -> float array -> float
+(** The real-valued decision function whose sign {!predict} takes: the
+    label itself for [Constant]. Raises [Invalid_argument] on
+    [Opaque], which has no decision value. *)
+
 val of_models : tight:model -> loose:model -> t
 
 val make : tight:classifier -> loose:classifier -> t

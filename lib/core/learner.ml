@@ -17,17 +17,10 @@ let default_svr = Epsilon_svr { c = 10.0; epsilon = 0.1; gamma = None }
 let default_mlp = Mlp Stc_learn.Mlp.default_config
 
 type warm = Svr_warm of Svr.warm
-type snapshot = Svr_snapshot of Svr.snapshot
 
 let warm_state = function
   | Epsilon_svr _ -> Some (Svr_warm (Svr.warm_state ()))
   | C_svc _ | Mlp _ -> None
-
-let checkpoint (Svr_warm w) = Svr_snapshot (Svr.warm_checkpoint w)
-let rollback (Svr_warm w) (Svr_snapshot s) = Svr.warm_rollback w s
-
-let resolve_gamma gamma features =
-  match gamma with Some g -> g | None -> Kernel.median_gamma features
 
 let train ?warm spec ~features ~labels =
   let n = Array.length labels in
@@ -40,16 +33,18 @@ let train ?warm spec ~features ~labels =
   else begin
     match spec with
     | Epsilon_svr { c; epsilon; gamma } ->
-      let kernel = Kernel.rbf (resolve_gamma gamma features) in
+      (* [gamma = None] leaves the kernel to [Svr.train]/[Svc.train],
+         whose default is the median heuristic over the same features *)
+      let kernel = Option.map Kernel.rbf gamma in
       let y = Array.map float_of_int labels in
       let warm = Option.map (fun (Svr_warm w) -> w) warm in
-      Guard_band.Svr (Svr.train ~c ~epsilon ~kernel ?warm ~x:features ~y ())
+      Guard_band.Svr (Svr.train ~c ~epsilon ?kernel ?warm ~x:features ~y ())
     | C_svc { c; gamma } ->
       (* no warm start for C-SVC: the labels enter the dual's equality
          constraint, so a previous solution is not feasible for the
          next candidate's problem *)
-      let kernel = Kernel.rbf (resolve_gamma gamma features) in
-      Guard_band.Svc (Svc.train ~c ~kernel ~x:features ~y:labels ())
+      let kernel = Option.map Kernel.rbf gamma in
+      Guard_band.Svc (Svc.train ~c ?kernel ~x:features ~y:labels ())
     | Mlp config ->
       (* same ±1-target convention as the SVR path; the MLP classifies
          by the sign of its regression output *)

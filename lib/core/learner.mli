@@ -2,7 +2,8 @@
     needs from a trainable ±1 predictor — train / predict / save /
     load / name — so the loop itself is learner-agnostic and new model
     families promote in via differential QA gates instead of code
-    forks.
+    forks. {!Adaptive_guard} trains through the same [train], reading
+    the model's real-valued {!Guard_band.decision}.
 
     Three families implement the contract today:
 
@@ -43,17 +44,15 @@ val default_mlp : spec
 (** {1 Warm starts}
 
     An optional cross-candidate execution state. Only ε-SVR supports
-    one (SMO alpha reuse); for every other family [warm_state] is
-    [None] and the loop trains cold. Semantics are unchanged either
+    one (SMO alpha reuse): each [train] given the state seeds from the
+    previous solve made with it. For every other family [warm_state]
+    is [None] and the loop trains cold. Semantics are unchanged either
     way — warm starts may only change iteration counts, never the
     model. *)
 
 type warm
-type snapshot
 
 val warm_state : spec -> warm option
-val checkpoint : warm -> snapshot
-val rollback : warm -> snapshot -> unit
 
 (** {1 The contract} *)
 

@@ -16,30 +16,12 @@ type t = {
   models : Svr.model array;  (* one per dropped spec, normalised targets *)
 }
 
-let complement ~k dropped =
-  let is_dropped = Array.make k false in
-  Array.iter
-    (fun j ->
-      if j < 0 || j >= k then invalid_arg "Regression_baseline: bad spec index";
-      if is_dropped.(j) then
-        invalid_arg "Regression_baseline: duplicate dropped index";
-      is_dropped.(j) <- true)
-    dropped;
-  let kept = ref [] in
-  for j = k - 1 downto 0 do
-    if not is_dropped.(j) then kept := j :: !kept
-  done;
-  Array.of_list !kept
-
 let train ?(config = default_config) data ~dropped =
   if Array.length dropped = 0 then
     invalid_arg "Regression_baseline.train: empty dropped set";
   let specs = Device_data.specs data in
-  let k = Array.length specs in
-  let kept_indices = complement ~k dropped in
+  let kept_indices = Compaction.complement ~k:(Array.length specs) dropped in
   let features = Device_data.features data ~keep:kept_indices in
-  let dim = Array.length kept_indices in
-  ignore dim;
   let kernel =
     Kernel.rbf
       (match config.gamma with

@@ -12,17 +12,20 @@
 type config = {
   c : float;
   epsilon : float;
-  gamma : float option;  (** None = 1/dim *)
+  gamma : float option;  (** None = the median-distance heuristic *)
 }
 
 val default_config : config
-(** C = 10, ε = 0.01 (in normalised units), γ = 1/dim. *)
+(** C = 10, ε = 0.01 (in normalised units), γ from the median
+    heuristic. *)
 
 type t
 
 val train : ?config:config -> Device_data.t -> dropped:int array -> t
 (** One regressor per dropped spec, each mapping the normalised kept
-    features to the dropped spec's *normalised* value. *)
+    features to the dropped spec's *normalised* value. Raises
+    [Invalid_argument] for an empty, out-of-range or duplicate
+    [dropped] set. *)
 
 val predict_values : t -> float array -> float array
 (** [predict_values t features] returns the predicted (denormalised)

@@ -11,11 +11,8 @@ type model = {
 }
 
 type warm = { mutable warm_alpha : float array option }
-type snapshot = float array option
 
 let warm_state () = { warm_alpha = None }
-let warm_checkpoint w = w.warm_alpha
-let warm_rollback w s = w.warm_alpha <- s
 
 (* A previous solution is a feasible start for the next candidate's
    dual whenever the problem shape is unchanged: the extended labels

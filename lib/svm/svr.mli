@@ -6,26 +6,16 @@ type model
 
 type warm
 (** Mutable warm-start state threaded across successive [train] calls.
-    Each solve seeds SMO from the previous solve's alphas (bit-valid:
-    the ε-SVR dual's extended labels are fixed by the formulation, so
-    any previous solution satisfies the next problem's equality and
-    box constraints whenever sizes and C agree — otherwise the state
-    is ignored and the solve starts cold). The trained model itself is
+    Each solve seeds SMO from the alphas of the previous solve made
+    with the same state (bit-valid: the ε-SVR dual's extended labels
+    are fixed by the formulation, so any previous solution satisfies
+    the next problem's equality and box constraints whenever sizes and
+    C agree — otherwise the state is ignored and the solve starts
+    cold). The trained model itself is
     identical in meaning either way; only iteration count changes. *)
 
 val warm_state : unit -> warm
 (** A fresh, empty warm-start state (first use trains cold). *)
-
-type snapshot
-(** An immutable capture of a warm state's contents. *)
-
-val warm_checkpoint : warm -> snapshot
-(** The state as it stands, for a later {!warm_rollback}. *)
-
-val warm_rollback : warm -> snapshot -> unit
-(** Restore a previously checkpointed state — used by [Compaction] to
-    discard a rejected candidate's alphas so seeds always come from
-    the last {e accepted} model. *)
 
 val train :
   ?c:float ->
