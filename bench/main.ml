@@ -1113,7 +1113,7 @@ let floor_serving () =
 
 let resilience () =
   section
-    "Resilience: journaling, supervision and deadline overhead (target <5%)";
+    "Resilience: journaling and deadline overhead (target <5%)";
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -1160,34 +1160,7 @@ let resilience () =
     Stc_floor.Flow_io.to_string plain.Compaction.flow
     = Stc_floor.Flow_io.to_string resumed.Compaction.flow
   in
-  (* 3. pool supervision: deadline polling + heartbeats vs the plain
-     participating dispatch. Tasks carry real work (~a verdict's worth
-     of arithmetic) so the measurement is dispatch overhead, not
-     scheduler noise on empty jobs. *)
-  let pool_jobs = 50 and pool_n = 512 in
-  let sink = ref 0.0 in
-  let task i =
-    let acc = ref 0.0 in
-    for k = 1 to 200 do
-      acc := !acc +. sin (float_of_int (i + k))
-    done;
-    sink := !acc
-  in
-  let (), t_pool_plain =
-    time (fun () ->
-        Stc_process.Pool.with_pool ~domains:4 (fun pool ->
-            for _ = 1 to pool_jobs do
-              Stc_process.Pool.run pool ~n:pool_n task
-            done))
-  in
-  let (), t_pool_deadline =
-    time (fun () ->
-        Stc_process.Pool.with_pool ~domains:4 (fun pool ->
-            for _ = 1 to pool_jobs do
-              Stc_process.Pool.run ~deadline_s:60.0 pool ~n:pool_n task
-            done))
-  in
-  (* 4. floor batch deadline: the per-batch clock check on a deadline
+  (* 3. floor batch deadline: the per-batch clock check on a deadline
      that never fires *)
   let flow =
     Compaction.make_flow config train ~dropped:[| 0; 1; 2; 5; 6; 8; 9; 10 |]
@@ -1214,12 +1187,6 @@ let resilience () =
            Printf.sprintf "%.2f s" t_plain;
            Printf.sprintf "%.2f s" t_journal;
            overhead t_plain t_journal;
-         ];
-         [
-           Printf.sprintf "pool dispatch x%d (~deadline_s)" pool_jobs;
-           Printf.sprintf "%.3f s" t_pool_plain;
-           Printf.sprintf "%.3f s" t_pool_deadline;
-           overhead t_pool_plain t_pool_deadline;
          ];
          [
            Printf.sprintf "floor serving %d rows (~batch_deadline_s)"

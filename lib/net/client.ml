@@ -17,11 +17,14 @@ let connect ?(host = "127.0.0.1") ~port () =
   { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd;
     closed = false }
 
+(* Both channels wrap one descriptor, so only [oc] is closed (flushing
+   it first): closing [ic] too would close the descriptor a second
+   time, and by then its number may belong to another thread's file.
+   [recv_line] checks [closed] in place of the unclosed [ic]. *)
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    close_out_noerr t.oc;
-    close_in_noerr t.ic
+    close_out_noerr t.oc
   end
 
 let send_line t line =
@@ -29,7 +32,9 @@ let send_line t line =
   output_char t.oc '\n';
   flush t.oc
 
-let recv_line t = input_line t.ic
+let recv_line t =
+  if t.closed then raise (Sys_error "Client.recv_line: connection closed");
+  input_line t.ic
 
 (* one request frame -> the `Ok detail / `Err pair of the reply *)
 let roundtrip t req =

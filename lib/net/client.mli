@@ -23,7 +23,7 @@ val send_line : t -> string -> unit
 
 val recv_line : t -> string
 (** Low-level: the next reply frame. Raises [End_of_file] when the
-    server closed the stream. *)
+    server closed the stream, [Sys_error] after {!close}. *)
 
 val ping : t -> (unit, string) result
 

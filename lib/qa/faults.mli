@@ -116,14 +116,6 @@ val check_pool_misuse : unit -> (unit, string) result
 (** Zero-task jobs are no-ops; [run] after [shutdown] and invalid
     domain counts raise [Invalid_argument]; [shutdown] is idempotent. *)
 
-val check_pool_deadline : domains:int -> (unit, string) result
-(** The supervision contract of [Pool.run ~deadline_s]: an in-time
-    supervised job runs every task exactly once; a job with a stalled
-    (1.5 s sleeping) task raises [Pool.Timeout] long before the stall
-    clears; the timeout and the respawned worker show in [Pool.stats];
-    and the same pool then runs both a plain and a supervised job to
-    completion while the abandoned domain is still asleep. *)
-
 (* ------------------------ degraded serving ------------------------ *)
 
 val check_floor_flaky_retest : fail_first:int -> (unit, string) result

@@ -175,7 +175,7 @@ let run ?(seed = 2005) ?(flows = 1000) ?(rows_per_flow = 16)
          let* () = Faults.check_pool_worker_delay ~domains ~delay_s:0.02 in
          Faults.check_pool_misuse ()));
 
-  (* 6. resilience: journals, supervised deadlines, degraded serving *)
+  (* 6. resilience: journals, degraded serving *)
   push
     (section ~name:"fault: corrupted journals"
        ~cases:(Stdlib.max 5 (flows / 50)) (fun _ ->
@@ -187,10 +187,6 @@ let run ?(seed = 2005) ?(flows = 1000) ?(rows_per_flow = 16)
            | Error _ as e -> e
          in
          Faults.check_journal_truncation ()));
-
-  push
-    (section ~name:"fault: pool deadlines" ~cases:2 (fun i ->
-         Faults.check_pool_deadline ~domains:(if i = 0 then 1 else 4)));
 
   push
     (section ~name:"fault: degraded serving" ~cases:3 (fun i ->

@@ -1,7 +1,7 @@
 (** k-fold cross-validation and hyper-parameter grid search for the
     classifiers.
 
-    Every entry point takes an optional supervised pool
+    Every entry point takes an optional pool
     ([Stc_process.Pool]): folds (and, for the grid search, the whole
     (point × fold) task grid) are embarrassingly parallel. Parallel
     runs are bit-identical to serial ones by construction — fold

@@ -82,6 +82,34 @@ let pool_tests =
         (match Pool.create ~domains:0 with
          | exception Invalid_argument _ -> ()
          | _ -> Alcotest.fail "expected Invalid_argument"));
+    Alcotest.test_case "a job records its metrics once" `Quick (fun () ->
+        let module Obs = Stc_obs.Registry in
+        let jobs = Obs.counter "stc_pool_jobs_total"
+        and tasks = Obs.counter "stc_pool_tasks_total"
+        and wait = Obs.histogram "stc_pool_queue_wait_s"
+        and job = Obs.histogram "stc_pool_job_s" in
+        let snapshot () =
+          ( Obs.Counter.get jobs,
+            Obs.Counter.get tasks,
+            Obs.Histogram.count wait,
+            Obs.Histogram.count job )
+        in
+        List.iter
+          (fun domains ->
+            Pool.with_pool ~domains (fun pool ->
+                let check what n (j, t, w, h) =
+                  let j0, t0, w0, h0 = snapshot () in
+                  Pool.run pool ~n ignore;
+                  let j1, t1, w1, h1 = snapshot () in
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "%s at %d domains: jobs, tasks, waits, \
+                                     job times" what domains)
+                    [ j; t; w; h ]
+                    [ j1 - j0; t1 - t0; w1 - w0; h1 - h0 ]
+                in
+                check "empty job" 0 (0, 0, 0, 0);
+                check "37-task job" 37 (1, 37, 1, 1)))
+          [ 1; 4 ]);
   ]
 
 (* ------------------------- flow persistence ----------------------- *)

@@ -680,6 +680,38 @@ let server_tests =
                 match Client.info c ~flow:"ghost" with
                 | Error _ -> ()
                 | Ok _ -> Alcotest.fail "INFO on a ghost flow succeeded")));
+    Alcotest.test_case "closing a client never closes another thread's file"
+      `Quick (fun () ->
+        (* a client's two channels share one descriptor: closing it
+           twice hands the second close(2) whatever file another domain
+           opened under the freed number in between, and that reader
+           sees "Bad file descriptor" (as a hot reload did) *)
+        let flow, _ = pooled 48 ~rows:1 in
+        with_served flow (fun ~server ~registry:_ ~entry:_ ~path ->
+            let stop = Atomic.make false in
+            let failures = ref [] in
+            let reader =
+              Domain.spawn
+                (fun () ->
+                  while not (Atomic.get stop) do
+                    match In_channel.with_open_bin path In_channel.input_all with
+                    | (_ : string) -> ()
+                    | exception Sys_error e -> failures := e :: !failures
+                  done)
+            in
+            Fun.protect
+              ~finally:(fun () ->
+                Atomic.set stop true;
+                Domain.join reader)
+              (fun () ->
+                for _ = 1 to 1000 do
+                  Client.quit (Client.connect ~port:(Server.port server) ())
+                done);
+            match !failures with
+            | [] -> ()
+            | e :: _ ->
+              Alcotest.failf "%d file reads failed, e.g. %s"
+                (List.length !failures) e));
   ]
 
 let suites =
