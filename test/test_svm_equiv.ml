@@ -313,7 +313,209 @@ let flow_equiv_tests =
           Experiment.mems_config ~train ~test);
   ]
 
+(* --------------- bit-identical guard-band verdicts ---------------- *)
+
+module Svc = Stc_svm.Svc
+module Spec = Stc.Spec
+module Guard_band = Stc.Guard_band
+module Floor = Stc_floor.Floor
+module Gen = Stc_qa.Gen
+
+(* The decision function as a boxed [Kernel.eval] sum in support-vector
+   order: b + Σᵢ coefᵢ·K(svᵢ, x), accumulated left to right. Model
+   prediction must equal it bit for bit, not merely to a tolerance — a
+   reordered sum would move verdicts on rows that sit on a boundary. *)
+let boxed_sum kernel sv coef b x =
+  let acc = ref b in
+  Array.iteri
+    (fun i s -> acc := !acc +. (coef.(i) *. Kernel.eval kernel s x))
+    sv;
+  !acc
+
+(* One of each kernel family, sharing the drawn parameters. *)
+let families st =
+  let gamma = QCheck.Gen.float_range 0.05 4.0 st in
+  let coef0 = QCheck.Gen.float_range (-1.0) 1.0 st in
+  let degree = QCheck.Gen.int_range 2 3 st in
+  [
+    Kernel.Linear;
+    Kernel.Rbf { gamma };
+    Kernel.Polynomial { gamma; coef0; degree };
+    Kernel.Sigmoid { gamma; coef0 };
+  ]
+
+let check_bits what ~fast ~boxed =
+  if Int64.bits_of_float fast <> Int64.bits_of_float boxed then
+    QCheck.Test.fail_reportf "%s: %.17g but the boxed sum is %.17g" what fast
+      boxed
+
+(* Probes: fresh points, and the support vectors themselves (distance
+   exactly zero for the RBF kernel). *)
+let probes st ~dim sv =
+  Array.append sv
+    (Array.init 8 (fun _ ->
+         Array.init dim (fun _ -> QCheck.Gen.float_range (-1.0) 2.0 st)))
+
+let bit_identity_case ~trained seed =
+  let st = Gen.state ~seed in
+  let dim = 1 + (seed mod 5) in
+  let svr_raw =
+    if trained then Svr.to_raw (snd (Gen.trained_svr ~dim ~n:30 st))
+    else Svr.to_raw (Gen.svr ~dim st)
+  in
+  let svc_raw =
+    if trained then Svc.to_raw (snd (Gen.trained_svc ~dim ~n:30 st))
+    else Svc.to_raw (Gen.svc ~dim st)
+  in
+  List.iter
+    (fun kernel ->
+      let svr = Svr.of_raw { svr_raw with Svr.raw_kernel = kernel } in
+      let svc = Svc.of_raw { svc_raw with Svc.raw_kernel = kernel } in
+      let name = Format.asprintf "%a" Kernel.pp kernel in
+      Array.iter
+        (fun x ->
+          check_bits ("Svr.predict " ^ name) ~fast:(Svr.predict svr x)
+            ~boxed:
+              (boxed_sum kernel svr_raw.Svr.raw_sv svr_raw.Svr.raw_coef
+                 svr_raw.Svr.raw_b x);
+          check_bits ("Svc.decision " ^ name) ~fast:(Svc.decision svc x)
+            ~boxed:
+              (boxed_sum kernel svc_raw.Svc.raw_sv svc_raw.Svc.raw_coef
+                 svc_raw.Svc.raw_b x))
+        (probes st ~dim svr_raw.Svr.raw_sv))
+    (families st);
+  true
+
+(* The paper's MEMS production flow as `stc server` serves it: hot and
+   cold tests dropped, guard ±2.5 % and a ±2.0 % variant. *)
+let mems_flows =
+  lazy
+    (let train, test =
+       Experiment.generate_mems ~seed:(21 * 1009) ~n_train:800 ~n_test:4000 ()
+     in
+     let dropped =
+       Array.append Experiment.mems_cold_indices Experiment.mems_hot_indices
+     in
+     let flow guard =
+       Compaction.make_flow
+         { Experiment.mems_config with Compaction.guard_fraction = guard }
+         train ~dropped
+     in
+     ([ (0.025, flow 0.025); (0.02, flow 0.02) ], Stc.Device_data.values test))
+
+let verdict_counts verdicts =
+  Array.fold_left
+    (fun (g, b, u) v ->
+      match v with
+      | Guard_band.Good -> (g + 1, b, u)
+      | Guard_band.Bad -> (g, b + 1, u)
+      | Guard_band.Guard -> (g, b, u + 1))
+    (0, 0, 0) verdicts
+
+(* A flow whose kept spec 1 has a tight range that collapses under its
+   guard fraction: [1, 2] moved inward by 50 % of each bound is
+   [1.5, 1.0]. Kept spec 0 is ordinary; spec 2 is dropped behind a
+   constant model. *)
+let collapsing_flow () =
+  let spec name lower upper =
+    Spec.make ~name ~unit_label:"-" ~nominal:((lower +. upper) /. 2.0) ~lower
+      ~upper
+  in
+  {
+    Compaction.specs = [| spec "a" (-1.0) 1.0; spec "b" 1.0 2.0; spec "c" 0.0 1.0 |];
+    kept = [| 0; 1 |];
+    dropped = [| 2 |];
+    band = Some (Guard_band.single_model (Guard_band.constant 1));
+    guard_fraction = 0.5;
+    measured_guard = true;
+  }
+
+(* Rows 0–2 never reach spec 1's tight check (outside its loose range
+   [0.5, 3]); row 3 does, although spec 0 already makes it Bad. *)
+let collapsing_rows =
+  [| [| 0.0; 5.0; 0.5 |]; [| 0.0; 0.0; 0.5 |]; [| 9.0; 4.0; 0.5 |];
+     [| 9.0; 1.7; 0.5 |]; [| 0.0; 1.7; 0.5 |] |]
+
+let raises_perturb f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument msg ->
+    String.length msg >= 12 && String.sub msg 0 12 = "Spec.perturb"
+
+let verdict_tests =
+  [
+    qtest
+      (QCheck.Test.make ~count:150
+         ~name:"Svr.predict and Svc.decision equal the boxed kernel sum"
+         seed_arb (bit_identity_case ~trained:false));
+    qtest
+      (QCheck.Test.make ~count:12
+         ~name:"trained models equal the boxed kernel sum" seed_arb
+         (bit_identity_case ~trained:true));
+    Alcotest.test_case "MEMS floor outcomes equal per-row flow_verdict" `Quick
+      (fun () ->
+        let flows, rows = Lazy.force mems_flows in
+        (* verdict tallies of both flows on the 4000 rows, so a change
+           that moves the engine and the per-row path alike fails too *)
+        let pinned = [ (0.025, (3149, 486, 365)); (0.02, (3204, 486, 310)) ] in
+        List.iter
+          (fun (guard, flow) ->
+            let expected =
+              Array.map (fun row -> Compaction.flow_verdict flow row) rows
+            in
+            List.iter
+              (fun domains ->
+                let outcomes =
+                  Floor.with_engine
+                    ~config:{ Floor.batch_size = 512; domains }
+                    flow
+                    (fun engine -> Floor.process engine rows)
+                in
+                Array.iteri
+                  (fun i (o : Floor.outcome) ->
+                    if not (Guard_band.equal_verdict o.Floor.verdict expected.(i))
+                    then
+                      Alcotest.failf "guard %g, %d domains, row %d: %s vs %s"
+                        guard domains i
+                        (Guard_band.verdict_to_string o.Floor.verdict)
+                        (Guard_band.verdict_to_string expected.(i)))
+                  outcomes)
+              [ 1; 2 ];
+            let g, b, u = verdict_counts expected in
+            Alcotest.(check (triple int int int))
+              (Printf.sprintf "guard %g good/bad/guard" guard)
+              (List.assoc guard pinned) (g, b, u))
+          flows);
+    Alcotest.test_case "a collapsed tight range raises at the same row" `Quick
+      (fun () ->
+        let flow = collapsing_flow () in
+        let verdict = Compaction.flow_verdict flow in
+        Array.iteri
+          (fun i row ->
+            let raised = raises_perturb (fun () -> verdict row) in
+            Alcotest.(check bool) (Printf.sprintf "row %d raises" i) (i >= 3)
+              raised;
+            Alcotest.(check bool)
+              (Printf.sprintf "row %d raises unstaged" i)
+              (i >= 3)
+              (raises_perturb (fun () -> Compaction.flow_verdict flow row)))
+          collapsing_rows;
+        Floor.with_engine flow (fun engine ->
+            let first = Array.sub collapsing_rows 0 3 in
+            let out = Floor.process engine first in
+            Alcotest.(check (list string)) "rows before the collapse"
+              [ "bad"; "bad"; "bad" ]
+              (Array.to_list
+                 (Array.map
+                    (fun (o : Floor.outcome) ->
+                      Guard_band.verdict_to_string o.Floor.verdict)
+                    out));
+            Alcotest.(check bool) "engine raises on the row" true
+              (raises_perturb (fun () -> Floor.process engine collapsing_rows))));
+  ]
+
 let suites =
   [
     ("svm_equiv.smo", smo_equiv_tests); ("svm_equiv.flows", flow_equiv_tests);
+    ("svm_equiv.verdicts", verdict_tests);
   ]
