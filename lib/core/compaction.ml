@@ -133,74 +133,87 @@ let make_flow config data ~dropped =
     measured_guard = config.measured_guard;
   }
 
-(* Three-way verdict on the explicitly measured (kept) specs. *)
-let measured_verdict flow row =
-  let delta = if flow.measured_guard then flow.guard_fraction else 0.0 in
-  let worst = ref Guard_band.Good in
-  Array.iter
-    (fun j ->
-      let spec = flow.specs.(j) in
-      let v = row.(j) in
-      let inside_loose =
-        if delta = 0.0 then Spec.passes spec v
-        else Spec.passes (Spec.perturb spec ~fraction:delta) v
-      in
-      if not inside_loose then worst := Guard_band.Bad
-      else begin
-        let inside_tight =
-          if delta = 0.0 then Spec.passes spec v
-          else Spec.passes (Spec.perturb spec ~fraction:(-.delta)) v
-        in
-        if not inside_tight then begin
-          match !worst with
-          | Guard_band.Good -> worst := Guard_band.Guard
-          | Guard_band.Guard | Guard_band.Bad -> ()
-        end
-      end)
-    flow.kept;
-  !worst
+(* A kept spec's acceptance range perturbed by the guard fraction, once,
+   when a flow is staged. A perturbation that collapses the range keeps
+   its exception, raised by the first row that reaches that check —
+   the row at which per-row perturbation raised it. *)
+type staged_range = Range of Spec.range | Collapsed of exn
 
-let flow_verdict flow row =
-  let measured = measured_verdict flow row in
-  match measured with
-  | Guard_band.Bad -> Guard_band.Bad
-  | Guard_band.Guard | Guard_band.Good ->
-    let model_verdict =
-      match flow.band with
-      | None -> Guard_band.Good
-      | Some band ->
-        let features =
-          Array.map (fun j -> Spec.normalize flow.specs.(j) row.(j)) flow.kept
-        in
-        Guard_band.classify band features
-    in
-    (match (measured, model_verdict) with
-     | Guard_band.Good, v -> v
-     | Guard_band.Guard, Guard_band.Bad -> Guard_band.Bad
-     | Guard_band.Guard, (Guard_band.Good | Guard_band.Guard) ->
-       Guard_band.Guard
-     | Guard_band.Bad, _ -> assert false)
+let stage_range spec ~fraction =
+  if fraction = 0.0 then Range spec.Spec.range
+  else
+    match Spec.perturb spec ~fraction with
+    | perturbed -> Range perturbed.Spec.range
+    | exception (Invalid_argument _ as e) -> Collapsed e
+
+let inside staged v =
+  match staged with Range r -> Spec.within r v | Collapsed e -> raise e
+
+(* Three-way verdict on the explicitly measured (kept) specs. *)
+let measured_verdict flow =
+  let delta = if flow.measured_guard then flow.guard_fraction else 0.0 in
+  let stage fraction =
+    Array.map (fun j -> stage_range flow.specs.(j) ~fraction) flow.kept
+  in
+  let loose = stage delta and tight = stage (-.delta) in
+  let kept = flow.kept in
+  fun row ->
+    let worst = ref Guard_band.Good in
+    for i = 0 to Array.length kept - 1 do
+      let v = row.(kept.(i)) in
+      if not (inside loose.(i) v) then worst := Guard_band.Bad
+      else if not (inside tight.(i) v) then begin
+        match !worst with
+        | Guard_band.Good -> worst := Guard_band.Guard
+        | Guard_band.Guard | Guard_band.Bad -> ()
+      end
+    done;
+    !worst
+
+let flow_verdict flow =
+  let measured = measured_verdict flow in
+  let model =
+    match flow.band with
+    | None -> fun _ -> Guard_band.Good
+    | Some band ->
+      let classify = Guard_band.classify band in
+      let specs = flow.specs and kept = flow.kept in
+      fun row ->
+        classify (Array.map (fun j -> Spec.normalize specs.(j) row.(j)) kept)
+  in
+  fun row ->
+    match measured row with
+    | Guard_band.Bad -> Guard_band.Bad
+    | Guard_band.Good -> model row
+    | Guard_band.Guard ->
+      (match model row with
+       | Guard_band.Bad -> Guard_band.Bad
+       | Guard_band.Good | Guard_band.Guard -> Guard_band.Guard)
+
+let check_width what flow data =
+  if Array.length (Device_data.specs data) <> Array.length flow.specs then
+    invalid_arg ("Compaction." ^ what ^ ": spec count mismatch")
+
+let flow_verdicts flow data =
+  let verdict = flow_verdict flow in
+  Array.init (Device_data.n_instances data) (fun i ->
+      verdict (Device_data.instance_row data i))
+
+let truths data =
+  Array.init (Device_data.n_instances data) (fun i ->
+      Device_data.passes_all data ~instance:i)
 
 let evaluate_flow flow data =
-  if Array.length (Device_data.specs data) <> Array.length flow.specs then
-    invalid_arg "Compaction.evaluate_flow: spec count mismatch";
-  let n = Device_data.n_instances data in
-  let truth = Array.init n (fun i -> Device_data.passes_all data ~instance:i) in
-  let verdicts =
-    Array.init n (fun i -> flow_verdict flow (Device_data.instance_row data i))
-  in
-  Metrics.tally ~truth ~verdicts
+  check_width "evaluate_flow" flow data;
+  Metrics.tally ~truth:(truths data) ~verdicts:(flow_verdicts flow data)
 
 let evaluate_flow_weighted flow data =
-  if Array.length (Device_data.specs data) <> Array.length flow.specs then
-    invalid_arg "Compaction.evaluate_flow_weighted: spec count mismatch";
-  let n = Device_data.n_instances data in
-  let truth = Array.init n (fun i -> Device_data.passes_all data ~instance:i) in
-  let verdicts =
-    Array.init n (fun i -> flow_verdict flow (Device_data.instance_row data i))
+  check_width "evaluate_flow_weighted" flow data;
+  let weights =
+    Array.init (Device_data.n_instances data) (fun i -> Device_data.weight data i)
   in
-  let weights = Array.init n (fun i -> Device_data.weight data i) in
-  Metrics.wtally ~truth ~verdicts ~weights
+  Metrics.wtally ~truth:(truths data) ~verdicts:(flow_verdicts flow data)
+    ~weights
 
 let prediction_error model data ~kept ~dropped =
   let n = Device_data.n_instances data in

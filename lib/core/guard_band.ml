@@ -49,13 +49,16 @@ let loose_model t = t.loose
 
 let is_single t = t.tight == t.loose
 
-let classify t features =
-  let pt = predict t.tight features and pl = predict t.loose features in
-  match (pt, pl) with
-  | 1, 1 -> Good
-  | -1, -1 -> Bad
-  | 1, -1 | -1, 1 -> Guard
-  | _ -> invalid_arg "Guard_band.classify: classifier returned non-±1"
+let classify t =
+  let tight = predict t.tight and loose = predict t.loose in
+  fun features ->
+    let pt = tight features in
+    let pl = loose features in
+    match (pt, pl) with
+    | 1, 1 -> Good
+    | -1, -1 -> Bad
+    | 1, -1 | -1, 1 -> Guard
+    | _ -> invalid_arg "Guard_band.classify: classifier returned non-±1"
 
 let verdict_to_string = function
   | Good -> "good"

@@ -17,11 +17,12 @@ type summary = {
 
 let run ?(resolve_guard = true) flow data =
   let n = Device_data.n_instances data in
+  let flow_verdict = Compaction.flow_verdict flow in
   let outcomes =
     Array.init n (fun i ->
         let row = Device_data.instance_row data i in
         let truth_good = Device_data.passes_all data ~instance:i in
-        let verdict = Compaction.flow_verdict flow row in
+        let verdict = flow_verdict row in
         let bin =
           match verdict with
           | Guard_band.Good -> Ship

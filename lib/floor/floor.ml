@@ -83,6 +83,8 @@ let fresh_counters () =
 
 type t = {
   flow : Compaction.flow;
+  verdict : float array -> Guard_band.verdict;
+      (* [flow] staged once: perturbed ranges and model closures *)
   config : config;
   pool : Pool.t;
   mutable counters : counters;
@@ -98,6 +100,7 @@ let create ?(config = default_config) flow =
   if config.domains < 1 then invalid_arg "Floor.create: domains must be >= 1";
   {
     flow;
+    verdict = Compaction.flow_verdict flow;
     config;
     pool = Pool.create ~domains:config.domains;
     counters = fresh_counters ();
@@ -185,7 +188,7 @@ let process ?retest ?retry ?batch_deadline_s ?(strict = false) t rows =
         let first = base + (c * chunk) in
         let last = Stdlib.min (hi - 1) (first + chunk - 1) in
         for i = first to last do
-          verdicts.(i) <- Compaction.flow_verdict t.flow rows.(i)
+          verdicts.(i) <- t.verdict rows.(i)
         done);
     let shipped = ref 0
     and scrapped = ref 0

@@ -260,6 +260,62 @@ let svr_agrees ?(tol = 1e-9) m x =
     ~fast_sign:(Svr.classify m x)
     ~ref_sign:(if ref_ >= 0.0 then 1 else -1)
 
+(* The model's decision value as the boxed [Kernel.eval] sum, taken in
+   support-vector order from the bias; [None] for families without
+   support vectors. *)
+let boxed_decision (m : Guard_band.model) x =
+  let sum kernel sv coef b =
+    let acc = ref b in
+    Array.iteri (fun i s -> acc := !acc +. (coef.(i) *. Kernel.eval kernel s x)) sv;
+    Some !acc
+  in
+  match m with
+  | Guard_band.Svr svr ->
+    let r = Svr.to_raw svr in
+    sum r.Svr.raw_kernel r.Svr.raw_sv r.Svr.raw_coef r.Svr.raw_b
+  | Guard_band.Svc svc ->
+    let r = Svc.to_raw svc in
+    sum r.Svc.raw_kernel r.Svc.raw_sv r.Svc.raw_coef r.Svc.raw_b
+  | Guard_band.Constant _ | Guard_band.Mlp _ | Guard_band.Opaque _ -> None
+
+let staged_verdict_agrees (flow : Compaction.flow) rows =
+  let staged = Compaction.flow_verdict flow in
+  let models =
+    match flow.Compaction.band with
+    | None -> []
+    | Some band -> [ Guard_band.tight_model band; Guard_band.loose_model band ]
+  in
+  let check_row i row =
+    let a = staged row and b = Compaction.flow_verdict flow row in
+    if not (Guard_band.equal_verdict a b) then
+      errorf "row %d: staged verdict %s but a fresh flow_verdict gives %s" i
+        (Guard_band.verdict_to_string a)
+        (Guard_band.verdict_to_string b)
+    else
+      let features =
+        Array.map
+          (fun j -> Spec.normalize flow.Compaction.specs.(j) row.(j))
+          flow.Compaction.kept
+      in
+      List.fold_left
+        (fun acc m ->
+          match (acc, boxed_decision m features) with
+          | (Error _ as e), _ -> e
+          | Ok (), None -> Ok ()
+          | Ok (), Some boxed ->
+            let fast = Guard_band.decision m features in
+            if Int64.bits_of_float fast = Int64.bits_of_float boxed then Ok ()
+            else
+              errorf "row %d: decision %.17g but the boxed kernel sum is %.17g"
+                i fast boxed)
+        (Ok ()) models
+  in
+  let rec go i =
+    if i = Array.length rows then Ok ()
+    else match check_row i rows.(i) with Ok () -> go (i + 1) | e -> e
+  in
+  go 0
+
 let dual_feasible ~what ~c coef =
   let slack = 1e-6 *. (1.0 +. c) in
   let bad =
@@ -306,12 +362,14 @@ let flow_verdicts_survive flow rows =
     (match Flow_io.of_string text with
      | Error e -> errorf "printed flow does not parse: %s" e
      | Ok reloaded ->
+       let before = Compaction.flow_verdict flow in
+       let after = Compaction.flow_verdict reloaded in
        let mismatch = ref (Ok ()) in
        Array.iteri
          (fun i row ->
            if !mismatch = Ok () then begin
-             let a = Compaction.flow_verdict flow row in
-             let b = Compaction.flow_verdict reloaded row in
+             let a = before row in
+             let b = after row in
              if not (Guard_band.equal_verdict a b) then
                mismatch :=
                  errorf "row %d: verdict %s before save, %s after reload" i

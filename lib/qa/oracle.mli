@@ -72,6 +72,14 @@ val svc_agrees :
 val svr_agrees :
   ?tol:float -> Stc_svm.Svr.model -> float array -> (unit, string) result
 
+val staged_verdict_agrees :
+  Stc.Compaction.flow -> float array array -> (unit, string) result
+(** The flow staged once ([Compaction.flow_verdict flow], as the floor
+    engine holds it) gives every row the verdict of a fresh
+    [Compaction.flow_verdict flow row], and each SVR/SVC band model's
+    decision value on the row's features equals the boxed
+    [Kernel.eval] sum in support-vector order bit for bit. *)
+
 val svc_dual_feasible :
   c:float -> Stc_svm.Svc.model -> (unit, string) result
 (** The trained dual coefficients satisfy the box constraint

@@ -102,7 +102,7 @@ let run ?(seed = 2005) ?(flows = 1000) ?(rows_per_flow = 16)
 
   push
     (section ~name:"svm: flat kernel" ~cases:(Stdlib.max 25 (flows / 8))
-       (fun _ ->
+       (fun i ->
          let dim = 1 + Rng.int rng 6 in
          let n = 2 + Rng.int rng 24 in
          let rows =
@@ -120,7 +120,38 @@ let run ?(seed = 2005) ?(flows = 1000) ?(rows_per_flow = 16)
              Stc_svm.Kernel.Sigmoid { gamma; coef0 };
            ]
          in
-         Oracle.flat_kernel_agrees kernels rows));
+         let ( let* ) r f = match r with Error _ as e -> e | Ok () -> f () in
+         let* () = Oracle.flat_kernel_agrees kernels rows in
+         (* a staged flow per band family (Svr, Svc, Mlp, Constant in
+            turn), single and paired, with at least one kept and one
+            dropped spec *)
+         let specs = Gen.specs ~min_specs:2 () st in
+         let k = Array.length specs in
+         let n_kept = 1 + Rng.int rng (k - 1) in
+         let model () =
+           match i mod 4 with
+           | 0 -> Stc.Guard_band.Svr (Gen.svr ~dim:n_kept st)
+           | 1 -> Stc.Guard_band.Svc (Gen.svc ~dim:n_kept st)
+           | 2 -> Stc.Guard_band.Mlp (Gen.mlp ~dim:n_kept st)
+           | _ -> Stc.Guard_band.constant (if Rng.bool rng then 1 else -1)
+         in
+         let band =
+           if i / 4 mod 2 = 0 then Stc.Guard_band.single_model (model ())
+           else
+             let tight = model () in
+             Stc.Guard_band.of_models ~tight ~loose:(model ())
+         in
+         let flow =
+           {
+             Stc.Compaction.specs;
+             kept = Array.init n_kept Fun.id;
+             dropped = Array.init (k - n_kept) (fun d -> n_kept + d);
+             band = Some band;
+             guard_fraction = Rng.uniform rng 0.0 0.01;
+             measured_guard = Rng.bool rng;
+           }
+         in
+         Oracle.staged_verdict_agrees flow (Gen.rows specs ~n:rows_per_flow st)));
 
   push
     (section ~name:"smo dual feasibility" ~cases:12 (fun _ ->

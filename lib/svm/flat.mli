@@ -13,7 +13,11 @@
     computed through a [Flat.t] are bit-identical to the boxed path —
     the property [Stc_qa.Oracle.flat_kernel_agrees] enforces. *)
 
-type t
+type t = private { data : float array; n : int; dim : int }
+(** Row [i] occupies [data.(i*dim) .. data.(i*dim + dim - 1)]. The
+    fields are readable so that a hot loop elsewhere (the prediction
+    sum in {!Kernel.expansion}) can hoist them; [data] must not be
+    written. *)
 
 val of_rows : float array array -> t
 (** Copies the rows into contiguous storage. Raises [Invalid_argument]

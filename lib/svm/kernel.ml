@@ -34,6 +34,48 @@ let eval_row_vec k rows i v =
   | Rbf { gamma } -> exp (-.gamma *. Flat.dist2_vec rows i v)
   | Sigmoid { gamma; coef0 } -> tanh ((gamma *. Flat.dot_vec rows i v) +. coef0)
 
+(* One hoisted loop per kernel shape, each summing b + Σᵢ coefᵢ·K(svᵢ, x)
+   in support-vector order with the coordinate sums of [Vec.dot] /
+   [Vec.dist2] (sv coordinate first), so the result is bit-identical to
+   folding [eval] over boxed rows. *)
+let expansion k (sv : Flat.t) ~coef ~bias x =
+  let n = sv.Flat.n and d = sv.Flat.dim and data = sv.Flat.data in
+  if Array.length coef <> n then
+    invalid_arg "Kernel.expansion: coef/support-vector count mismatch";
+  if n > 0 && Array.length x <> d then
+    invalid_arg
+      (Printf.sprintf "Kernel.expansion: input length %d <> dim %d"
+         (Array.length x) d);
+  let acc = ref bias in
+  (match k with
+   | Rbf { gamma } ->
+     for i = 0 to n - 1 do
+       let base = i * d in
+       let s = ref 0.0 in
+       for j = 0 to d - 1 do
+         let dj = Array.unsafe_get data (base + j) -. Array.unsafe_get x j in
+         s := !s +. (dj *. dj)
+       done;
+       acc := !acc +. (Array.unsafe_get coef i *. exp (-.gamma *. !s))
+     done
+   | Linear | Polynomial _ | Sigmoid _ ->
+     for i = 0 to n - 1 do
+       let base = i * d in
+       let s = ref 0.0 in
+       for j = 0 to d - 1 do
+         s := !s +. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
+       done;
+       let kv =
+         match k with
+         | Polynomial { gamma; coef0; degree } ->
+           ((gamma *. !s) +. coef0) ** float_of_int degree
+         | Sigmoid { gamma; coef0 } -> tanh ((gamma *. !s) +. coef0)
+         | Linear | Rbf _ (* Rbf took the loop above *) -> !s
+       in
+       acc := !acc +. (Array.unsafe_get coef i *. kv)
+     done);
+  !acc
+
 let default_gamma ~dim =
   if dim <= 0 then invalid_arg "Kernel.default_gamma: dim must be positive";
   1.0 /. float_of_int dim

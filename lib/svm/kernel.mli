@@ -23,6 +23,16 @@ val eval_row_vec : t -> Flat.t -> int -> float array -> float
 (** [eval_row_vec k rows i v] computes K(rowsᵢ, v), bit-identical to
     [eval rows.(i) v]. *)
 
+val expansion :
+  t -> Flat.t -> coef:float array -> bias:float -> float array -> float
+(** [expansion k sv ~coef ~bias x] is the SVM decision value
+    [bias + Σᵢ coefᵢ·K(svᵢ, x)], accumulated in support-vector order.
+    The kernel is matched once and the sum runs as one bounds-check-free
+    loop over the flat rows; the result is bit-identical to folding
+    {!eval} over the boxed rows in the same order. Raises
+    [Invalid_argument] when [coef] and [sv] differ in length or, if
+    there are support vectors, when [x] differs from their dimension. *)
+
 val default_gamma : dim:int -> float
 (** libsvm's default 1/dim heuristic. *)
 

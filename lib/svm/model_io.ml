@@ -103,7 +103,12 @@ let raw_of_string ~tag text =
                 Array.of_list
                   (List.map (fun row -> Array.of_list (List.tl row)) rows)
               in
-              Ok (kernel, sv, coef, b)
+              if
+                Array.exists
+                  (fun r -> Array.length r <> Array.length sv.(0))
+                  sv
+              then Error "ragged support vectors"
+              else Ok (kernel, sv, coef, b)
             end
           end
         | _ -> Error "missing kernel or bias header"))

@@ -5,7 +5,7 @@ let g_cache_hit_rate = Obs.gauge "stc_svm_cache_hit_rate"
 
 type model = {
   kernel : Kernel.t;
-  sv : float array array;
+  sv : Flat.t;
   coef : float array; (* y_i * alpha_i *)
   b : float;
 }
@@ -70,22 +70,17 @@ let train ?(c = 1.0) ?kernel ?(eps = 1e-3) ~x ~y () =
   done;
   {
     kernel;
-    sv = Array.of_list !sv;
+    sv = Flat.of_rows (Array.of_list !sv);
     coef = Array.of_list !coef;
     b = -.sol.Smo.rho;
   }
 
-let decision m input =
-  let acc = ref m.b in
-  Array.iteri
-    (fun i sv -> acc := !acc +. (m.coef.(i) *. Kernel.eval m.kernel sv input))
-    m.sv;
-  !acc
+let decision m input = Kernel.expansion m.kernel m.sv ~coef:m.coef ~bias:m.b input
 
 let predict m input = if decision m input >= 0.0 then 1 else -1
 
-let n_support m = Array.length m.sv
-let support_vectors m = m.sv
+let n_support m = Flat.n_rows m.sv
+let support_vectors m = Array.init (Flat.n_rows m.sv) (Flat.row m.sv)
 let bias m = m.b
 let kernel m = m.kernel
 let dual_coefs m = m.coef
@@ -97,9 +92,20 @@ type raw = {
   raw_b : float;
 }
 
-let to_raw m = { raw_kernel = m.kernel; raw_sv = m.sv; raw_coef = m.coef; raw_b = m.b }
+let to_raw m =
+  {
+    raw_kernel = m.kernel;
+    raw_sv = Array.init (Flat.n_rows m.sv) (Flat.row m.sv);
+    raw_coef = m.coef;
+    raw_b = m.b;
+  }
 
 let of_raw r =
   if Array.length r.raw_sv <> Array.length r.raw_coef then
     invalid_arg "of_raw: sv/coef length mismatch";
-  { kernel = r.raw_kernel; sv = r.raw_sv; coef = r.raw_coef; b = r.raw_b }
+  {
+    kernel = r.raw_kernel;
+    sv = Flat.of_rows r.raw_sv;
+    coef = r.raw_coef;
+    b = r.raw_b;
+  }

@@ -16,7 +16,11 @@ val train :
     {−1, +1}. *)
 
 val decision : model -> float array -> float
-(** Signed distance-like decision value f(x). *)
+(** Signed distance-like decision value f(x) = b + Σᵢ yᵢαᵢ·K(svᵢ, x),
+    run by {!Kernel.expansion} over the support vectors the model keeps
+    in one {!Flat.t}. Bit-identity contract: the result equals, to the
+    last bit, the boxed {!Kernel.eval} sum taken left to right in
+    support-vector order from the bias, as {!Svr.predict} does. *)
 
 val predict : model -> float array -> int
 (** sign of {!decision}: +1 or −1 (0.0 maps to +1). *)
@@ -41,5 +45,6 @@ type raw = {
 val to_raw : model -> raw
 
 val of_raw : raw -> model
-(** Rebuilds a model; no validation beyond array-length agreement
-    (raises [Invalid_argument] on mismatch). *)
+(** Rebuilds a model, packing the support vectors into one {!Flat.t};
+    no validation beyond shape (raises [Invalid_argument] when
+    [raw_sv] and [raw_coef] differ in length or [raw_sv] is ragged). *)

@@ -34,7 +34,14 @@ val train :
     updated with this solve's alphas. *)
 
 val predict : model -> float array -> float
-(** The regression estimate f(x). *)
+(** The regression estimate f(x) = b + Σᵢ coefᵢ·K(svᵢ, x), run by
+    {!Kernel.expansion} over the support vectors the model keeps in one
+    {!Flat.t}. Bit-identity contract: the result equals, to the last
+    bit, the boxed sum [b +. coef₀·(Kernel.eval k sv₀ x) +. …] taken
+    left to right in support-vector order over {!to_raw}'s rows — the
+    [svm_equiv.verdicts] suite ([make equiv]) pins it for all four
+    kernel families. Raises [Invalid_argument] when [x] does not have
+    the support vectors' dimension. *)
 
 val classify : model -> float array -> int
 (** sign of {!predict}: +1 or −1. *)
@@ -55,5 +62,6 @@ type raw = {
 val to_raw : model -> raw
 
 val of_raw : raw -> model
-(** Rebuilds a model; no validation beyond array-length agreement
-    (raises [Invalid_argument] on mismatch). *)
+(** Rebuilds a model, packing the support vectors into one {!Flat.t};
+    no validation beyond shape (raises [Invalid_argument] when
+    [raw_sv] and [raw_coef] differ in length or [raw_sv] is ragged). *)

@@ -105,6 +105,36 @@ let protocol_tests =
         in
         let back = get (Protocol.parse_row (Protocol.format_row row)) in
         Alcotest.(check (array (float 0.0))) "bit-identical" row back);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"format_row writes the bytes of Printf %.17g"
+         (QCheck.make
+            ~print:(fun row ->
+              String.concat " "
+                (Array.to_list (Array.map (Printf.sprintf "%h") row)))
+            QCheck.Gen.(
+              array_size (int_range 0 12)
+                (frequency
+                   [
+                     ( 1,
+                       oneofl
+                         [
+                           0.0; -0.0; Float.min_float; -.Float.min_float;
+                           Float.max_float; -.Float.max_float; Float.nan;
+                           -.Float.nan; Float.infinity; Float.neg_infinity;
+                           Int64.float_of_bits 1L; Int64.float_of_bits 0x8000000000000001L;
+                           Float.pred Float.min_float; 4.9406564584124654e-324;
+                         ] );
+                     (* every bit pattern: subnormals, NaN payloads *)
+                     (2, map Int64.float_of_bits int64);
+                     (2, float);
+                   ])))
+         (fun row ->
+           let expected =
+             String.concat ","
+               (Array.to_list (Array.map (Printf.sprintf "%.17g") row))
+           in
+           String.equal expected (Protocol.format_row row)));
     Alcotest.test_case "all nine outcomes round-trip" `Quick (fun () ->
         List.iter
           (fun bin ->

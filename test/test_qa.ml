@@ -54,6 +54,11 @@ let property_tests =
          (Gen.arb_flow_with_rows ~rows_per_flow:6)
          (fun (flow, rows) -> prop (Oracle.flow_verdicts_survive flow rows)));
     qtest
+      (QCheck.Test.make ~name:"a staged flow bins like fresh flow_verdict calls"
+         ~count:100
+         (Gen.arb_flow_with_rows ~rows_per_flow:6)
+         (fun (flow, rows) -> prop (Oracle.staged_verdict_agrees flow rows)));
+    qtest
       (QCheck.Test.make ~name:"svm decisions match brute force" ~count:200
          (QCheck.make (fun st ->
               let dim = 1 + Random.State.int st 5 in
