@@ -406,13 +406,13 @@ let figure3 () =
   in
   let flow = Compaction.make_flow config train ~dropped:[| 2 |] in
   (* sample the verdict over the (s0, s1) plane; '#' = accepted *)
+  let verdict = Compaction.flow_verdict flow in
   let samples = ref [] in
   for i = 0 to 59 do
     for j = 0 to 59 do
       let a = 0.3 +. (1.5 *. float_of_int i /. 59.0) in
       let b = 0.3 +. (1.5 *. float_of_int j /. 59.0) in
-      let verdict = Compaction.flow_verdict flow [| a; b; 0.0 |] in
-      if Guard_band.equal_verdict verdict Guard_band.Good then
+      if Guard_band.equal_verdict (verdict [| a; b; 0.0 |]) Guard_band.Good then
         samples := (a, b) :: !samples
     done
   done;
@@ -996,6 +996,7 @@ let microbenchmarks () =
   let opamp_x0 =
     Stc_circuit.Opamp.initial_guess Stc_circuit.Opamp.nominal opamp_sys
   in
+  let verdict = Compaction.flow_verdict flow in
   let tests =
     [
       Test.make ~name:"mems_tri_temperature_simulation"
@@ -1010,7 +1011,7 @@ let microbenchmarks () =
       Test.make ~name:"svr_predict"
         (Staged.stage (fun () -> ignore (Stc_svm.Svr.predict svr_model features.(0))));
       Test.make ~name:"flow_verdict"
-        (Staged.stage (fun () -> ignore (Compaction.flow_verdict flow row0)));
+        (Staged.stage (fun () -> ignore (verdict row0)));
       Test.make ~name:"grid_compact_1000x5"
         (Staged.stage (fun () -> ignore (Grid_compact.compact ~features ~labels ())));
       Test.make ~name:"opamp_dc_operating_point"

@@ -68,12 +68,10 @@ let () =
       print_string (Floor.report engine);
       (* every verdict matches the in-memory flow, whatever the batching *)
       let mismatches = ref 0 in
+      let verdict = Compaction.flow_verdict flow in
       Array.iteri
         (fun i o ->
-          if
-            not
-              (Guard_band.equal_verdict o.Floor.verdict
-                 (Compaction.flow_verdict flow stream.(i)))
+          if not (Guard_band.equal_verdict o.Floor.verdict (verdict stream.(i)))
           then incr mismatches)
         outcomes;
       Printf.printf "\nverdict mismatches vs flow_verdict: %d\n" !mismatches);

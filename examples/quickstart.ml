@@ -90,16 +90,15 @@ let () =
     summary.Tester.shipped_bad;
 
   (* 6. Visualise the derived acceptance region over (s0, s1) — the
-     corners where s0 + s1 would violate s2 are carved away (Fig. 3). *)
+     corners where s0 + s1 would violate s2 are carved away (Fig. 3).
+     [flow_verdict flow] stages the flow once for all 4900 points. *)
+  let verdict = Compaction.flow_verdict flow in
   let samples = ref [] in
   for i = 0 to 69 do
     for j = 0 to 69 do
       let a = 0.3 +. (1.5 *. float_of_int i /. 69.0) in
       let b = 0.3 +. (1.5 *. float_of_int j /. 69.0) in
-      if
-        Guard_band.equal_verdict
-          (Compaction.flow_verdict flow [| a; b; 0.0 |])
-          Guard_band.Good
+      if Guard_band.equal_verdict (verdict [| a; b; 0.0 |]) Guard_band.Good
       then samples := (a, b) :: !samples
     done
   done;

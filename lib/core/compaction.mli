@@ -82,7 +82,21 @@ val make_flow : config -> Device_data.t -> dropped:int array -> flow
 val flow_verdict : flow -> float array -> Guard_band.verdict
 (** Bins one device from its full measured spec row (only kept columns
     are read — at the real tester the dropped specs are never
-    measured). *)
+    measured).
+
+    Staged: [flow_verdict flow] perturbs the kept specs' loose and
+    tight ranges and binds the band's classifiers once, and returns the
+    per-row function; bind it once and apply it to many rows (the
+    floor engine, {!evaluate_flow} and {!Tester.run} do). The staged
+    function is pure, so domains may share it, and [flow_verdict flow
+    row] gives the same verdict.
+
+    Staging raises nothing. When the guard fraction collapses a kept
+    spec's range ({!Spec.perturb} raises), the [Invalid_argument
+    "Spec.perturb …"] is raised by the first row that reaches that
+    range's check — the tight check is reached only by a row inside
+    the loose range — exactly where unstaged per-row evaluation raised
+    it. *)
 
 val evaluate_flow : flow -> Device_data.t -> Metrics.counts
 (** Runs the flow over a (test) population; truth is pass/fail of the

@@ -57,10 +57,11 @@ val is_single : t -> bool
 
 val classify : t -> float array -> verdict
 (** [Good] iff both predict +1, [Bad] iff both predict −1, else
-    [Guard]. A device inside the tight range is necessarily inside the
-    loose one, so with consistent models the tight prediction +1 and
-    loose −1 cannot co-occur; if it does (model noise) the verdict is
-    still [Guard]. *)
+    [Guard]. Staged: [classify t] binds both sides' classifiers once;
+    the tight side is evaluated first. A device inside the tight range
+    is necessarily inside the loose one, so with consistent models the
+    tight prediction +1 and loose −1 cannot co-occur; if it does (model
+    noise) the verdict is still [Guard]. *)
 
 val verdict_to_string : verdict -> string
 

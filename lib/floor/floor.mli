@@ -49,8 +49,12 @@ val empty_stats : stats
 type t
 
 val create : ?config:config -> Stc.Compaction.flow -> t
-(** Spawns the worker pool once; reuse the engine across many calls to
-    {!process} and {!shutdown} it when the lot is finished. *)
+(** Spawns the worker pool and stages the flow's verdict
+    ({!Stc.Compaction.flow_verdict} applied to the flow) once; reuse
+    the engine across many calls to {!process} and {!shutdown} it when
+    the lot is finished. Staging raises nothing: a guard fraction that
+    collapses a kept range raises from {!process}, at the first row
+    that reaches the collapsed check. *)
 
 val flow : t -> Stc.Compaction.flow
 val config : t -> config

@@ -185,6 +185,13 @@ let kernel_ref k x y =
     !acc
   | Kernel.Sigmoid { gamma; coef0 } -> tanh ((gamma *. dot_ref x y) +. coef0)
 
+(* b + Σ coefᵢ·K(svᵢ, x) over boxed rows, summed in support-vector
+   order with the kernel evaluator [eval]. *)
+let raw_decision ~eval ~kernel ~sv ~coef ~b x =
+  let acc = ref b in
+  Array.iteri (fun i s -> acc := !acc +. (coef.(i) *. eval kernel s x)) sv;
+  !acc
+
 (* Differential oracle for the flat-storage kernel path: every kernel
    value computed over contiguous [Flat] storage must be bit-for-bit
    the value the boxed [Kernel.eval] path computes — compared on the
@@ -193,10 +200,10 @@ let flat_kernel_agrees kernels rows =
   let bits = Int64.bits_of_float in
   let fx = Stc_svm.Flat.of_rows rows in
   let n = Array.length rows in
-  let mismatch what k i j boxed flat =
-    errorf "flat kernel %s: %s rows (%d,%d): boxed %.17g flat %.17g" what
+  let mismatch what k where boxed flat =
+    errorf "flat kernel %s: %s %s: boxed %.17g flat %.17g" what
       (Format.asprintf "%a" Kernel.pp k)
-      i j boxed flat
+      where boxed flat
   in
   List.fold_left
     (fun acc k ->
@@ -210,33 +217,44 @@ let flat_kernel_agrees kernels rows =
                let boxed = Kernel.eval k rows.(i) rows.(j) in
                let flat = Kernel.eval_rows k fx i j in
                if bits boxed <> bits flat then begin
-                 pairwise := mismatch "eval_rows" k i j boxed flat;
-                 raise Exit
-               end;
-               let vec = Kernel.eval_row_vec k fx i rows.(j) in
-               if bits boxed <> bits vec then begin
-                 pairwise := mismatch "eval_row_vec" k i j boxed vec;
+                 pairwise :=
+                   mismatch "eval_rows" k (Printf.sprintf "rows (%d,%d)" i j)
+                     boxed flat;
                  raise Exit
                end
              done
+           done;
+           (* the decision sum over all rows as support vectors, with
+              coefficients of both signs, probed at every row *)
+           let coef =
+             Array.init n (fun i ->
+                 (if i land 1 = 0 then 1.0 else -0.5) /. float_of_int (i + 1))
+           in
+           for j = 0 to n - 1 do
+             let boxed =
+               raw_decision ~eval:Kernel.eval ~kernel:k ~sv:rows ~coef ~b:0.25
+                 rows.(j)
+             in
+             let flat = Kernel.expansion k fx ~coef ~bias:0.25 rows.(j) in
+             if bits boxed <> bits flat then begin
+               pairwise :=
+                 mismatch "expansion" k (Printf.sprintf "at row %d" j) boxed
+                   flat;
+               raise Exit
+             end
            done
          with Exit -> ());
         !pairwise)
     (Ok ()) kernels
 
-let raw_decision ~kernel ~sv ~coef ~b x =
-  let acc = ref b in
-  Array.iteri (fun i s -> acc := !acc +. (coef.(i) *. kernel_ref kernel s x)) sv;
-  !acc
-
 let svc_decision_ref m x =
   let r = Svc.to_raw m in
-  raw_decision ~kernel:r.Svc.raw_kernel ~sv:r.Svc.raw_sv ~coef:r.Svc.raw_coef
+  raw_decision ~eval:kernel_ref ~kernel:r.Svc.raw_kernel ~sv:r.Svc.raw_sv ~coef:r.Svc.raw_coef
     ~b:r.Svc.raw_b x
 
 let svr_predict_ref m x =
   let r = Svr.to_raw m in
-  raw_decision ~kernel:r.Svr.raw_kernel ~sv:r.Svr.raw_sv ~coef:r.Svr.raw_coef
+  raw_decision ~eval:kernel_ref ~kernel:r.Svr.raw_kernel ~sv:r.Svr.raw_sv ~coef:r.Svr.raw_coef
     ~b:r.Svr.raw_b x
 
 let agree ~what ~tol ~fast ~ref_ ~fast_sign ~ref_sign =
@@ -260,22 +278,21 @@ let svr_agrees ?(tol = 1e-9) m x =
     ~fast_sign:(Svr.classify m x)
     ~ref_sign:(if ref_ >= 0.0 then 1 else -1)
 
-(* The model's decision value as the boxed [Kernel.eval] sum, taken in
-   support-vector order from the bias; [None] for families without
-   support vectors. *)
+(* The model's decision value as the boxed [Kernel.eval] sum; [None]
+   for families without support vectors. *)
 let boxed_decision (m : Guard_band.model) x =
-  let sum kernel sv coef b =
-    let acc = ref b in
-    Array.iteri (fun i s -> acc := !acc +. (coef.(i) *. Kernel.eval kernel s x)) sv;
-    Some !acc
-  in
+  let eval = Kernel.eval in
   match m with
   | Guard_band.Svr svr ->
     let r = Svr.to_raw svr in
-    sum r.Svr.raw_kernel r.Svr.raw_sv r.Svr.raw_coef r.Svr.raw_b
+    Some
+      (raw_decision ~eval ~kernel:r.Svr.raw_kernel ~sv:r.Svr.raw_sv
+         ~coef:r.Svr.raw_coef ~b:r.Svr.raw_b x)
   | Guard_band.Svc svc ->
     let r = Svc.to_raw svc in
-    sum r.Svc.raw_kernel r.Svc.raw_sv r.Svc.raw_coef r.Svc.raw_b
+    Some
+      (raw_decision ~eval ~kernel:r.Svc.raw_kernel ~sv:r.Svc.raw_sv
+         ~coef:r.Svc.raw_coef ~b:r.Svc.raw_b x)
   | Guard_band.Constant _ | Guard_band.Mlp _ | Guard_band.Opaque _ -> None
 
 let staged_verdict_agrees (flow : Compaction.flow) rows =

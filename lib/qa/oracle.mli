@@ -49,10 +49,11 @@ val floor_matches :
 val flat_kernel_agrees :
   Stc_svm.Kernel.t list -> float array array -> (unit, string) result
 (** Differential oracle for the flat-storage kernel path: for every
-    kernel and every (i, j) row pair, [Kernel.eval_rows] (and
-    [eval_row_vec]) over contiguous {!Stc_svm.Flat} storage must equal
-    the boxed [Kernel.eval] bit-for-bit (IEEE bit pattern, no
-    tolerance). This is the contract that lets the SMO hot path use
+    kernel and every (i, j) row pair, [Kernel.eval_rows] over
+    contiguous {!Stc_svm.Flat} storage must equal the boxed
+    [Kernel.eval] bit-for-bit (IEEE bit pattern, no tolerance), and
+    [Kernel.expansion] with every row as a support vector must equal
+    the boxed [Kernel.eval] sum in support-vector order at every row. This is the contract that lets the SMO hot path use
     flat storage without perturbing a single trained model. *)
 
 val kernel_ref : Stc_svm.Kernel.t -> float array -> float array -> float

@@ -64,33 +64,3 @@ let dist2 t i j =
     acc := !acc +. (dk *. dk)
   done;
   !acc
-
-let check_vec t v =
-  if Array.length v <> t.dim then
-    invalid_arg
-      (Printf.sprintf "Flat: vector length %d <> dim %d" (Array.length v) t.dim)
-
-let dot_vec t i v =
-  check t i;
-  check_vec t v;
-  let d = t.dim in
-  let data = t.data in
-  let bi = i * d in
-  let acc = ref 0.0 in
-  for k = 0 to d - 1 do
-    acc := !acc +. (Array.unsafe_get data (bi + k) *. Array.unsafe_get v k)
-  done;
-  !acc
-
-let dist2_vec t i v =
-  check t i;
-  check_vec t v;
-  let d = t.dim in
-  let data = t.data in
-  let bi = i * d in
-  let acc = ref 0.0 in
-  for k = 0 to d - 1 do
-    let dk = Array.unsafe_get data (bi + k) -. Array.unsafe_get v k in
-    acc := !acc +. (dk *. dk)
-  done;
-  !acc

@@ -37,9 +37,3 @@ val dot : t -> int -> int -> float
 
 val dist2 : t -> int -> int -> float
 (** [dist2 t i j] = Σₖ (t[i,k] − t[j,k])². *)
-
-val dot_vec : t -> int -> float array -> float
-(** [dot_vec t i v]: row [i] against an external vector of the same
-    dimension. Raises [Invalid_argument] on dimension mismatch. *)
-
-val dist2_vec : t -> int -> float array -> float

@@ -26,14 +26,6 @@ let eval_rows k rows i j =
   | Rbf { gamma } -> exp (-.gamma *. Flat.dist2 rows i j)
   | Sigmoid { gamma; coef0 } -> tanh ((gamma *. Flat.dot rows i j) +. coef0)
 
-let eval_row_vec k rows i v =
-  match k with
-  | Linear -> Flat.dot_vec rows i v
-  | Polynomial { gamma; coef0; degree } ->
-    ((gamma *. Flat.dot_vec rows i v) +. coef0) ** float_of_int degree
-  | Rbf { gamma } -> exp (-.gamma *. Flat.dist2_vec rows i v)
-  | Sigmoid { gamma; coef0 } -> tanh ((gamma *. Flat.dot_vec rows i v) +. coef0)
-
 (* One hoisted loop per kernel shape, each summing b + Σᵢ coefᵢ·K(svᵢ, x)
    in support-vector order with the coordinate sums of [Vec.dot] /
    [Vec.dist2] (sv coordinate first), so the result is bit-identical to

@@ -19,10 +19,6 @@ val eval_rows : t -> Flat.t -> int -> int -> float
     flat primitives accumulate in the same order as [Vec.dot]/
     [Vec.dist2]). This is the SMO hot-path entry point. *)
 
-val eval_row_vec : t -> Flat.t -> int -> float array -> float
-(** [eval_row_vec k rows i v] computes K(rowsᵢ, v), bit-identical to
-    [eval rows.(i) v]. *)
-
 val expansion :
   t -> Flat.t -> coef:float array -> bias:float -> float array -> float
 (** [expansion k sv ~coef ~bias x] is the SVM decision value

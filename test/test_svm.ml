@@ -502,7 +502,9 @@ let flat_tests =
         check_close 0.0 "dot 0·1" 11.0 (Flat.dot fx 0 1);
         check_close 0.0 "dot 1·2" 39.0 (Flat.dot fx 1 2);
         check_close 0.0 "dist2" 8.0 (Flat.dist2 fx 0 1);
-        check_close 0.0 "dot_vec" 11.0 (Flat.dot_vec fx 0 [| 3.0; 4.0 |]));
+        check_close 0.0 "expansion" 11.0
+          (Kernel.expansion Kernel.linear fx ~coef:[| 1.0; 0.0; 0.0 |]
+             ~bias:0.0 [| 3.0; 4.0 |]));
     Alcotest.test_case "flat rejects ragged and bad indices" `Quick (fun () ->
         Alcotest.check_raises "ragged"
           (Invalid_argument "Flat.of_rows: ragged row 1 (1 <> 2)") (fun () ->
@@ -511,8 +513,11 @@ let flat_tests =
         Alcotest.check_raises "row out of range"
           (Invalid_argument "Flat: row 1") (fun () -> ignore (Flat.row fx 1));
         Alcotest.check_raises "vec mismatch"
-          (Invalid_argument "Flat: vector length 2 <> dim 1") (fun () ->
-            ignore (Flat.dot_vec fx 0 [| 1.0; 2.0 |])));
+          (Invalid_argument "Kernel.expansion: input length 2 <> dim 1")
+          (fun () ->
+            ignore
+              (Kernel.expansion Kernel.linear fx ~coef:[| 1.0 |] ~bias:0.0
+                 [| 1.0; 2.0 |])));
   ]
 
 (* Parallel CV must be bit-identical to serial: same winners, same fold
