@@ -39,6 +39,8 @@ let row t i =
   check t i;
   Array.sub t.data (i * t.dim) t.dim
 
+let to_rows t = Array.init t.n (row t)
+
 let dot t i j =
   check t i;
   check t j;

@@ -32,6 +32,9 @@ val get : t -> int -> int -> float
 val row : t -> int -> float array
 (** A fresh boxed copy of row [i]. *)
 
+val to_rows : t -> float array array
+(** Fresh boxed copies of all rows: the inverse of {!of_rows}. *)
+
 val dot : t -> int -> int -> float
 (** [dot t i j] = Σₖ t[i,k]·t[j,k]. *)
 

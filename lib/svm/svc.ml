@@ -80,7 +80,7 @@ let decision m input = Kernel.expansion m.kernel m.sv ~coef:m.coef ~bias:m.b inp
 let predict m input = if decision m input >= 0.0 then 1 else -1
 
 let n_support m = Flat.n_rows m.sv
-let support_vectors m = Array.init (Flat.n_rows m.sv) (Flat.row m.sv)
+let support_vectors m = Flat.to_rows m.sv
 let bias m = m.b
 let kernel m = m.kernel
 let dual_coefs m = m.coef
@@ -95,7 +95,7 @@ type raw = {
 let to_raw m =
   {
     raw_kernel = m.kernel;
-    raw_sv = Array.init (Flat.n_rows m.sv) (Flat.row m.sv);
+    raw_sv = Flat.to_rows m.sv;
     raw_coef = m.coef;
     raw_b = m.b;
   }

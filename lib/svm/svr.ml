@@ -148,7 +148,7 @@ type raw = {
 let to_raw m =
   {
     raw_kernel = m.kernel;
-    raw_sv = Array.init (Flat.n_rows m.sv) (Flat.row m.sv);
+    raw_sv = Flat.to_rows m.sv;
     raw_coef = m.coef;
     raw_b = m.b;
   }

@@ -57,6 +57,14 @@ let svr_tests =
         (match Model_io.svr_of_string bogus with
          | Error _ -> ()
          | Ok _ -> Alcotest.fail "expected count mismatch"));
+    Alcotest.test_case "ragged support vectors rejected" `Quick (fun () ->
+        (* support vectors of two dimensions cannot form one model *)
+        let ragged =
+          "stc-svr-1\nkernel linear\nbias 0\nnsv 2\n1.0 0.5\n1.0 0.5 0.25\n"
+        in
+        Alcotest.(check (result reject string))
+          "typed error" (Error "ragged support vectors")
+          (Result.map ignore (Model_io.svr_of_string ragged)));
   ]
 
 let svc_tests =
